@@ -1,30 +1,27 @@
 #!/usr/bin/env python
-"""Benchmark the selection hot path: CELF + adaptive backend vs naive rebuild.
+"""Benchmark the selection hot path: CELF lazy greedy vs naive rebuild.
 
-For every cell of a ``(backend, pool_size, m)`` grid this script times two
+For every cell of a ``(pool_size, m)`` grid this script times two
 implementations of one contact's photo selection (problem (3), Section
 III-D):
 
 * **optimized** -- :func:`repro.core.selection.greedy_select`: the lazy
-  CELF heap over a :class:`~repro.core.expected_coverage.SelectionEvaluator`
-  with the cell's backend active and the strategy resolved adaptively
-  (see :mod:`repro.core.backend`).  Timed twice, without telemetry and
-  inside an activated :class:`~repro.obs.SimTelemetry` (whose registry
-  supplies the ``gain_evals`` counts and profiler phase timings).
-* **baseline** -- :func:`repro.core.selection.greedy_select_reference`
-  forced to the pure-python backend: a fresh evaluator per greedy round,
-  every remaining candidate re-evaluated.  This is the naive full-rebuild
-  cost the optimized path is measured against.
+  CELF heap over one incremental
+  :class:`~repro.core.expected_coverage.SelectionEvaluator`.  Timed twice,
+  without telemetry and inside an activated :class:`~repro.obs.SimTelemetry`
+  (whose registry supplies the ``gain_evals`` counts and profiler phase
+  timings).
+* **baseline** -- :func:`repro.core.selection.greedy_select_reference`:
+  a fresh evaluator per greedy round, every remaining candidate
+  re-evaluated.  This is the naive full-rebuild cost the optimized path
+  is measured against.
 
 ``m`` is the size of the frozen node set ``M``: the number of background
 :class:`~repro.core.expected_coverage.NodeProfile` objects whose arcs
-densify the per-PoI survival functions.  Larger ``m`` means more pieces
-per profile, which is where the numpy prefix-integral backend pulls away
-from the scalar sweep.
+densify the per-PoI survival functions.
 
-Both legs must agree on the realized total gain (bitwise-comparable when
-the optimized leg runs the python backend, 1e-9 relative tolerance under
-numpy where summation order differs); disagreement is a FAIL exit.
+Both legs must select the same photos with bitwise-equal gains (they
+query the same evaluator); disagreement is a FAIL exit.
 
 The summary is written to ``BENCH_core.json`` -- the committed performance
 baseline.  CI re-runs the bench with ``--quick --check BENCH_core.json``
@@ -47,7 +44,6 @@ import random
 import time
 from pathlib import Path
 
-from repro.core import backend as core_backend
 from repro.core.coverage_index import CoverageIndex
 from repro.core.expected_coverage import build_node_profile
 from repro.core.geometry import Point
@@ -58,7 +54,7 @@ from repro.obs import SimTelemetry
 from repro.obs.runtime import activated
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_core.json"
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 PHOTO_BYTES = 4 * 1024 * 1024
 CAPACITY_PHOTOS = 16
@@ -167,7 +163,7 @@ def _gain_evals(telemetry: SimTelemetry) -> int:
     return int(counter.value) if counter is not None else 0
 
 
-def bench_cell(backend_name: str, pool_size: int, m: int, repeats: int, seed: int):
+def bench_cell(pool_size: int, m: int, repeats: int, seed: int):
     contacts = CONTACTS[pool_size]
     scenarios = build_scenarios(pool_size, m, contacts, seed)
 
@@ -177,53 +173,28 @@ def bench_cell(backend_name: str, pool_size: int, m: int, repeats: int, seed: in
 
     def baseline(scenario):
         index, pool, background, storage = scenario
-        return greedy_select_reference(index, pool, storage, background, backend="python")
+        return greedy_select_reference(index, pool, storage, background)
 
-    with core_backend.use_backend(backend_name):
-        off_stats, off_selections = _time_contacts(scenarios, optimized, repeats)
-        telemetry = SimTelemetry()
-        with activated(telemetry):
-            on_stats, _ = _time_contacts(scenarios, optimized, repeats)
-        # The counter accumulates over every repeat; report one pass.
-        evals = _gain_evals(telemetry) // max(1, repeats)
-        on_stats["gain_evals"] = evals
-        on_stats["gain_evals_per_s"] = (
-            round(evals / on_stats["elapsed_s"], 1) if on_stats["elapsed_s"] > 0 else 0.0
-        )
-        # Resolved once per cell for the record (same hint every contact).
-        from repro.core.expected_coverage import SelectionEvaluator
-
-        probe = SelectionEvaluator(
-            scenarios[0][0], (), 0.5, pool_size_hint=pool_size
-        )
-        resolved_backend, resolved_strategy = probe.backend, probe.strategy
+    off_stats, off_selections = _time_contacts(scenarios, optimized, repeats)
+    telemetry = SimTelemetry()
+    with activated(telemetry):
+        on_stats, _ = _time_contacts(scenarios, optimized, repeats)
+    # The counter accumulates over every repeat; report one pass.
+    evals = _gain_evals(telemetry) // max(1, repeats)
+    on_stats["gain_evals"] = evals
+    on_stats["gain_evals_per_s"] = (
+        round(evals / on_stats["elapsed_s"], 1) if on_stats["elapsed_s"] > 0 else 0.0
+    )
 
     base_stats, base_selections = _time_contacts(scenarios, baseline, repeats)
 
-    # Same-backend runs must match exactly; cross-backend runs may break a
-    # floating-point tie differently, after which the two (equally valid)
-    # greedy trajectories diverge -- their totals still agree closely
-    # because per-query gains agree to machine epsilon.
-    identical = all(
-        [p.photo_id for p in opt.photos] == [p.photo_id for p in base.photos]
-        for opt, base in zip(off_selections, base_selections)
-    )
-    max_rel_diff = 0.0
     for opt, base in zip(off_selections, base_selections):
-        same = [p.photo_id for p in opt.photos] == [p.photo_id for p in base.photos]
-        tolerance = 1e-9 if same else 5e-2
-        opt_total, base_total = opt.total_gain, base.total_gain
-        for got, want in (
-            (opt_total.point, base_total.point),
-            (opt_total.aspect, base_total.aspect),
-        ):
-            if not math.isclose(got, want, rel_tol=tolerance, abs_tol=tolerance):
-                raise SystemExit(
-                    f"FAIL: optimized total gain {got!r} != baseline {want!r} "
-                    f"(backend={backend_name}, pool={pool_size}, m={m})"
-                )
-            scale = max(abs(got), abs(want), 1e-12)
-            max_rel_diff = max(max_rel_diff, abs(got - want) / scale)
+        same_photos = [p.photo_id for p in opt.photos] == [p.photo_id for p in base.photos]
+        if not same_photos or opt.gains != base.gains:
+            raise SystemExit(
+                f"FAIL: optimized selection differs from the baseline "
+                f"(pool={pool_size}, m={m})"
+            )
 
     speedup = (
         base_stats["elapsed_s"] / off_stats["elapsed_s"]
@@ -231,23 +202,18 @@ def bench_cell(backend_name: str, pool_size: int, m: int, repeats: int, seed: in
         else float("inf")
     )
     cell = {
-        "backend": backend_name,
         "pool_size": pool_size,
         "m": m,
         "contacts": contacts,
-        "resolved_backend": resolved_backend,
-        "strategy": resolved_strategy,
         "optimized": {"telemetry_off": off_stats, "telemetry_on": on_stats},
         "baseline": base_stats,
         "speedup": round(speedup, 3),
-        "identical_selections": identical,
-        "max_total_gain_rel_diff": round(max_rel_diff, 12),
     }
     print(
-        f"  backend={backend_name:<6} pool={pool_size:<5} m={m:<3} "
+        f"  pool={pool_size:<5} m={m:<3} "
         f"opt {off_stats['elapsed_s'] * 1000:8.2f}ms  "
         f"base {base_stats['elapsed_s'] * 1000:8.2f}ms  "
-        f"speedup {speedup:6.2f}x  identical={identical}"
+        f"speedup {speedup:6.2f}x"
     )
     return cell
 
@@ -263,14 +229,11 @@ def check_against(cells, baseline_path: Path, max_regression: float) -> None:
     recorded speedup (a real regression, not jitter).
     """
     recorded = json.loads(baseline_path.read_text())
-    by_key = {
-        (c["backend"], c["pool_size"], c["m"]): c["speedup"]
-        for c in recorded.get("cells", [])
-    }
+    by_key = {(c["pool_size"], c["m"]): c["speedup"] for c in recorded.get("cells", [])}
     failures = []
     ratios = []
     for cell in cells:
-        key = (cell["backend"], cell["pool_size"], cell["m"])
+        key = (cell["pool_size"], cell["m"])
         want = by_key.get(key)
         if want is None or want <= 0:
             continue
@@ -322,39 +285,28 @@ def main() -> None:
 
     pool_sizes = QUICK_POOL_SIZES if args.quick else POOL_SIZES
     m_values = QUICK_M_VALUES if args.quick else M_VALUES
-    backends = ["python"]
-    numpy_version = None
-    if core_backend.numpy_available():
-        backends.append("numpy")
-        numpy_version = core_backend.get_numpy().__version__
     print(
-        f"benchmarking backends={backends} pools={list(pool_sizes)} "
-        f"m={list(m_values)} repeats={args.repeats} on {os.cpu_count()} CPU(s)"
-        f" (numpy {numpy_version or 'absent'})"
+        f"benchmarking pools={list(pool_sizes)} m={list(m_values)} "
+        f"repeats={args.repeats} on {os.cpu_count()} CPU(s)"
     )
 
-    cells = []
-    for backend_name in backends:
-        for pool_size in pool_sizes:
-            for m in m_values:
-                cells.append(
-                    bench_cell(backend_name, pool_size, m, args.repeats, args.seed)
-                )
+    cells = [
+        bench_cell(pool_size, m, args.repeats, args.seed)
+        for pool_size in pool_sizes
+        for m in m_values
+    ]
 
     min_speedup = min(cell["speedup"] for cell in cells)
     largest = max(pool_sizes)
     deepest = max(m_values)
-    best_backend = "numpy" if "numpy" in backends else "python"
     at_largest = next(
         cell["speedup"]
         for cell in cells
-        if cell["backend"] == best_backend
-        and cell["pool_size"] == largest
-        and cell["m"] == deepest
+        if cell["pool_size"] == largest and cell["m"] == deepest
     )
     print(
         f"min cell speedup {min_speedup:.3f}x, "
-        f"{best_backend} @ pool={largest}/m={deepest}: {at_largest:.3f}x"
+        f"pool={largest}/m={deepest}: {at_largest:.3f}x"
     )
 
     if args.check is not None:
@@ -366,20 +318,13 @@ def main() -> None:
         "schema_version": SCHEMA_VERSION,
         "generated_by": "scripts/bench_core.py",
         "python": platform.python_version(),
-        "numpy": numpy_version,
         "cpu_count": os.cpu_count(),
         "repeats": args.repeats,
         "seed": args.seed,
-        "backends": backends,
         "pool_sizes": list(pool_sizes),
         "m_values": list(m_values),
         "capacity_photos": CAPACITY_PHOTOS,
         "background_photos_per_node": BACKGROUND_PHOTOS_PER_NODE,
-        "cutovers": {
-            "numpy_pool_cutover": core_backend.NUMPY_POOL_CUTOVER,
-            "rebuild_pool_cutover": core_backend.REBUILD_POOL_CUTOVER,
-            "numpy_sweep_cutover": core_backend.NUMPY_SWEEP_CUTOVER,
-        },
         "cells": cells,
         "min_cell_speedup": round(min_speedup, 3),
         "speedup_at_largest_pool": round(at_largest, 3),

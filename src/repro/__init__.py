@@ -17,11 +17,10 @@ Quickstart::
     results = fig5.run(scale=0.25, num_runs=1)
     print(fig5.report(results))
 
-Subpackages load lazily (PEP 562): ``repro.core`` and everything it
-needs import without numpy (the pure-python selection backend is a
-first-class configuration, see :mod:`repro.core.backend`), while the
+Subpackages load lazily (PEP 562) so that ``import repro`` -- and the
+service's start-up -- only pays for the subsystems actually used: the
 numerical subpackages (traces, sensors, workload, experiments) pull in
-numpy only when actually used.
+numpy and their models on first access.
 """
 
 import importlib

@@ -32,11 +32,9 @@ photo covers.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from . import backend as _backend
 from .angular import TWO_PI, ArcSet
 from .coverage import CoverageValue
 from .coverage_index import CoverageIndex
@@ -128,48 +126,6 @@ def _clip_length(lo: float, hi: float, restriction: Optional[List[Tuple[float, f
     return length
 
 
-def _contains_tolerance_mask(np, mids, arcs: ArcSet):
-    """Vectorized :meth:`ArcSet.contains` over midpoints in ``(0, 2*pi)``.
-
-    Replicates the closed-interval 1e-12 tolerance and the angle-0-covered-
-    via-2*pi wraparound case of the scalar implementation.
-    """
-    mask = np.zeros(mids.shape, dtype=bool)
-    wraps = False
-    for lo, hi in arcs.segments():
-        mask |= (mids >= lo - 1e-12) & (mids <= hi + 1e-12)
-        if hi >= TWO_PI - 1e-12:
-            wraps = True
-    if wraps:
-        mask |= mids < 1e-12
-    return mask
-
-
-def _expected_aspect_for_poi_numpy(
-    poi,
-    contributions: Sequence[Tuple[float, ArcSet]],
-    restriction: Optional[List[Tuple[float, float]]],
-    endpoints: List[float],
-) -> float:
-    """Vectorized form of the endpoint sweep below (same cuts, same products)."""
-    np = _backend.get_numpy()
-    cuts = np.unique(np.asarray(endpoints, dtype=np.float64))
-    widths = np.diff(cuts)
-    mids = 0.5 * (cuts[:-1] + cuts[1:])
-    survival = np.ones(mids.shape, dtype=np.float64)
-    for probability, arcs in contributions:
-        covered = _contains_tolerance_mask(np, mids, arcs)
-        if covered.any():
-            survival[covered] *= 1.0 - probability
-    if restriction is not None:
-        inside = np.zeros(mids.shape, dtype=bool)
-        for r_lo, r_hi in restriction:
-            inside |= (mids >= r_lo) & (mids <= r_hi)
-        widths = np.where(inside, widths, 0.0)
-    keep = np.diff(cuts) > 1e-15
-    return poi.weight * float(np.sum(((1.0 - survival) * widths)[keep]))
-
-
 def _expected_aspect_for_poi(
     poi,
     contributions: Sequence[Tuple[float, ArcSet]],
@@ -180,22 +136,9 @@ def _expected_aspect_for_poi(
     per node covering this PoI.  The circle is cut at every arc endpoint;
     inside an elementary segment the set of covering nodes is constant, so
     the coverage probability is ``1 - prod (1 - p_i)`` over exactly those
-    nodes.  Large sweeps dispatch to the vectorized kernel when the numpy
-    backend is active; the scalar sweep below is the reference.
+    nodes.
     """
     restriction = _restriction_segments(poi)
-    if _backend.active_backend() == "numpy":
-        endpoints = [0.0, TWO_PI]
-        for _, arcs in contributions:
-            for lo, hi in arcs.segments():
-                endpoints.append(lo)
-                endpoints.append(hi)
-        if restriction is not None:
-            for lo, hi in restriction:
-                endpoints.append(lo)
-                endpoints.append(hi)
-        if len(endpoints) >= _backend.NUMPY_SWEEP_CUTOVER:
-            return _expected_aspect_for_poi_numpy(poi, contributions, restriction, endpoints)
     breakpoints = {0.0, TWO_PI}
     for _, arcs in contributions:
         for lo, hi in arcs.segments():
@@ -355,12 +298,6 @@ class _PoIBackground:
     (1 - p_i)`` -- zero wherever a certain node covers.  Stored as sorted
     elementary segments ``(lo, hi, survival)`` spanning ``[0, 2*pi]``.
     ``point_survival`` is the same product for point coverage.
-
-    *zero_arcs* (the ``rebuild`` evaluator strategy) forces the survival
-    to zero inside the given arcs: aspects the free node's tentative
-    selection already covers contribute no further gain, so zeroing them
-    here is equivalent to -- and replaces -- passing them as *exclude*
-    segments to every :meth:`integrate_survival` query.
     """
 
     __slots__ = ("segments", "point_survival", "restriction", "weight")
@@ -370,7 +307,6 @@ class _PoIBackground:
         poi,
         contributions: Sequence[Tuple[float, ArcSet]],
         point_survival: float,
-        zero_arcs: Optional[ArcSet] = None,
     ) -> None:
         self.point_survival = point_survival
         self.restriction = _restriction_segments(poi)
@@ -380,19 +316,12 @@ class _PoIBackground:
             for lo, hi in arcs.segments():
                 breakpoints.add(lo)
                 breakpoints.add(hi)
-        if zero_arcs is not None:
-            for lo, hi in zero_arcs.segments():
-                breakpoints.add(lo)
-                breakpoints.add(hi)
         cuts = sorted(breakpoints)
         self.segments: List[Tuple[float, float, float]] = []
         for lo, hi in zip(cuts, cuts[1:]):
             if hi - lo <= 1e-15:
                 continue
             mid = 0.5 * (lo + hi)
-            if zero_arcs is not None and zero_arcs.contains(mid):
-                self.segments.append((lo, hi, 0.0))
-                continue
             survival = 1.0
             for probability, arcs in contributions:
                 if arcs.contains(mid):
@@ -446,126 +375,6 @@ class _PoIBackground:
         return total
 
 
-class _NumpyPoIBackground:
-    """Vectorized twin of :class:`_PoIBackground` built on a prefix integral.
-
-    The survival density is restricted (the PoI's important aspects) and
-    zeroed (the free node's tentative selection) **at build time**, so the
-    antiderivative ``F(v) = integral_0^v density`` is piecewise linear and
-    one gain query is ``F(hi) - F(lo)`` -- two ``searchsorted`` lookups,
-    batchable over every candidate photo of a selection pool at once.
-    """
-
-    __slots__ = (
-        "point_survival",
-        "weight",
-        "_np",
-        "_cuts",
-        "_dens",
-        "_prefix",
-        "_cuts_list",
-        "_dens_list",
-        "_prefix_list",
-    )
-
-    def __init__(
-        self,
-        poi,
-        contributions: Sequence[Tuple[float, ArcSet]],
-        point_survival: float,
-        zero_arcs: Optional[ArcSet] = None,
-    ) -> None:
-        np = _backend.get_numpy()
-        self._np = np
-        self.point_survival = point_survival
-        self.weight = poi.weight
-        restriction = _restriction_segments(poi)
-        endpoints = [0.0, TWO_PI]
-        for _, arcs in contributions:
-            for lo, hi in arcs.segments():
-                endpoints.append(lo)
-                endpoints.append(hi)
-        if zero_arcs is not None:
-            for lo, hi in zero_arcs.segments():
-                endpoints.append(lo)
-                endpoints.append(hi)
-        if restriction is not None:
-            for lo, hi in restriction:
-                endpoints.append(lo)
-                endpoints.append(hi)
-        cuts = np.unique(np.asarray(endpoints, dtype=np.float64))
-        mids = 0.5 * (cuts[:-1] + cuts[1:])
-        dens = np.ones(mids.shape, dtype=np.float64)
-        for probability, arcs in contributions:
-            covered = _contains_tolerance_mask(np, mids, arcs)
-            if covered.any():
-                dens[covered] *= 1.0 - probability
-        if restriction is not None:
-            inside = np.zeros(mids.shape, dtype=bool)
-            for r_lo, r_hi in restriction:
-                inside |= (mids >= r_lo) & (mids <= r_hi)
-            dens = np.where(inside, dens, 0.0)
-        if zero_arcs is not None:
-            dens = np.where(_contains_tolerance_mask(np, mids, zero_arcs), 0.0, dens)
-        self._cuts = cuts
-        self._dens = dens
-        prefix = np.empty(len(cuts), dtype=np.float64)
-        prefix[0] = 0.0
-        np.cumsum(dens * np.diff(cuts), out=prefix[1:])
-        self._prefix = prefix
-        # Python-list twins of the arrays for scalar queries: the lazy
-        # heap re-evaluates one photo at a time, where per-call ndarray
-        # setup would dominate.  The scalar path below performs the exact
-        # same float64 operations in the same order as the vectorized one,
-        # so both yield bit-identical integrals (the CELF heap's
-        # exactness argument needs batched and scalar gains to agree).
-        self._cuts_list = cuts.tolist()
-        self._dens_list = dens.tolist()
-        self._prefix_list = prefix.tolist()
-
-    def _antiderivative(self, values):
-        np = self._np
-        idx = np.clip(
-            np.searchsorted(self._cuts, values, side="right") - 1, 0, len(self._dens) - 1
-        )
-        return self._prefix[idx] + self._dens[idx] * (values - self._cuts[idx])
-
-    def _antiderivative_scalar(self, value: float) -> float:
-        dens = self._dens_list
-        idx = bisect_right(self._cuts_list, value) - 1
-        if idx < 0:
-            idx = 0
-        elif idx >= len(dens):
-            idx = len(dens) - 1
-        return self._prefix_list[idx] + dens[idx] * (value - self._cuts_list[idx])
-
-    def integral_batch(self, los, his):
-        """``integral of density`` over each ``[lo, hi]`` pair (ndarrays)."""
-        return self._antiderivative(his) - self._antiderivative(los)
-
-    def integral_scalar(self, lo: float, hi: float) -> float:
-        """One ``[lo, hi]`` query, bit-identical to :meth:`integral_batch`."""
-        return self._antiderivative_scalar(hi) - self._antiderivative_scalar(lo)
-
-    def integrate_survival(self, lo: float, hi: float, exclude) -> float:
-        """Scalar-compatible form of :class:`_PoIBackground.integrate_survival`.
-
-        *exclude* (sorted disjoint segments, from the ``incremental``
-        strategy) is handled by linearity: subtract the integral over each
-        exclusion's overlap with ``[lo, hi]``.
-        """
-        total = self.integral_scalar(lo, hi)
-        if exclude:
-            for ex_lo, ex_hi in exclude:
-                o_lo = lo if lo > ex_lo else ex_lo
-                o_hi = hi if hi < ex_hi else ex_hi
-                if o_hi > o_lo:
-                    total -= self.integral_scalar(o_lo, o_hi)
-            if total < 0.0:  # floating-point slop from the subtraction
-                total = 0.0
-        return total
-
-
 class SelectionEvaluator:
     """Incremental expected-coverage evaluator for one greedy selection phase.
 
@@ -581,26 +390,10 @@ class SelectionEvaluator:
       photo's aspect arc minus aspects the tentative selection already
       covers.
 
-    Background survival profiles are built lazily per PoI, only when some
-    candidate photo actually covers that PoI.
-
-    Two orthogonal knobs (both resolved adaptively by default, see
-    :mod:`repro.core.backend`):
-
-    * *backend* -- ``python`` scalar sweeps (:class:`_PoIBackground`, the
-      reference) or ``numpy`` prefix-integral profiles
-      (:class:`_NumpyPoIBackground`) with :meth:`gain_of_batch` evaluating
-      a whole candidate pool in vectorized form.  Pools smaller than
-      ``backend.NUMPY_POOL_CUTOVER`` fall back to scalar even when numpy
-      is active: array setup costs more than it saves there.
-    * *strategy* -- how the free node's tentative selection enters gain
-      queries.  ``incremental`` keeps the background profiles frozen and
-      subtracts the selected arcs as *exclude* segments per query (the
-      seed behavior); ``rebuild`` drops a PoI's profile whenever a commit
-      touches it and lazily rebuilds it with the selected arcs zeroed into
-      the survival density, making every subsequent query exclude-free.
-      Both are mathematically identical; they differ only in which side of
-      the query/commit ledger pays.
+    Background survival profiles (:class:`_PoIBackground`) are built
+    lazily per PoI, only when some candidate photo actually covers that
+    PoI, and stay frozen for the whole phase: the free node's tentative
+    selection enters each gain query as *exclude* segments instead.
     """
 
     def __init__(
@@ -608,28 +401,13 @@ class SelectionEvaluator:
         index: CoverageIndex,
         background: Sequence[NodeProfile],
         free_probability: float,
-        strategy: Optional[str] = None,
-        backend: Optional[str] = None,
-        pool_size_hint: Optional[int] = None,
     ) -> None:
         if not 0.0 <= free_probability <= 1.0:
             raise ValueError(f"free_probability must be in [0, 1], got {free_probability}")
         self.index = index
         self.free_probability = free_probability
-        resolved = backend if backend is not None else _backend.active_backend()
-        if resolved not in _backend.BACKENDS:
-            raise ValueError(f"unknown backend {resolved!r}; choose one of {_backend.BACKENDS}")
-        if resolved == "numpy":
-            _backend.get_numpy()  # raises the actionable error when absent
-            if pool_size_hint is not None and pool_size_hint < _backend.NUMPY_POOL_CUTOVER:
-                resolved = "python"  # adaptive cutover: tiny pools stay scalar
-        self.backend = resolved
-        self.strategy = _backend.resolve_strategy(strategy, resolved, pool_size_hint)
-        self._profile_class = (
-            _NumpyPoIBackground if resolved == "numpy" else _PoIBackground
-        )
         self._background = list(background)
-        self._profiles: Dict[int, object] = {}
+        self._profiles: Dict[int, _PoIBackground] = {}
         self._contributions: Dict[int, List[Tuple[float, ArcSet]]] = {}
         self._point_survival: Dict[int, float] = {}
         for profile in self._background:
@@ -644,31 +422,16 @@ class SelectionEvaluator:
         self._selected_arcs: Dict[int, ArcSet] = {}
         self._selected_pois: set = set()
 
-    def _profile_for(self, poi_id: int):
+    def _profile_for(self, poi_id: int) -> _PoIBackground:
         profile = self._profiles.get(poi_id)
         if profile is None:
-            zero_arcs = (
-                self._selected_arcs.get(poi_id) if self.strategy == "rebuild" else None
-            )
-            profile = self._profile_class(
+            profile = _PoIBackground(
                 self.index.pois[poi_id],
                 self._contributions.get(poi_id, ()),
                 self._point_survival.get(poi_id, 1.0),
-                zero_arcs=zero_arcs,
             )
             self._profiles[poi_id] = profile
         return profile
-
-    def _exclude_for(self, poi_id: int):
-        """The query-time exclusion segments, or ``None``.
-
-        Under ``rebuild`` the selected arcs are already zeroed into the
-        profile, so queries never exclude anything.
-        """
-        if self.strategy == "rebuild":
-            return None
-        selected = self._selected_arcs.get(poi_id)
-        return None if selected is None else selected.segments_list()
 
     def gain_of(self, photo: Photo) -> CoverageValue:
         """Marginal expected-coverage gain of adding *photo* to the free node.
@@ -678,8 +441,6 @@ class SelectionEvaluator:
         what licenses the lazy-greedy strategy in
         :func:`repro.core.selection.greedy_select`.
         """
-        if self.backend == "numpy":
-            return self._gain_numpy_scalar(photo)
         if self.free_probability <= 0.0:
             return CoverageValue.ZERO
         point_ids, arcs = self.index.incidence_arcs(photo)
@@ -693,7 +454,8 @@ class SelectionEvaluator:
         aspect_gain = 0.0
         for poi_id, segments in arcs:
             profile = self._profile_for(poi_id)
-            exclude = self._exclude_for(poi_id)
+            selected = self._selected_arcs.get(poi_id)
+            exclude = None if selected is None else selected.segments_list()
             integral = 0.0
             for lo, hi in segments:
                 integral += profile.integrate_survival(lo, hi, exclude)
@@ -701,108 +463,6 @@ class SelectionEvaluator:
                 aspect_gain += profile.weight * integral
         p = self.free_probability
         return CoverageValue(point_gain * p, aspect_gain * p)
-
-    def gain_of_batch(self, photos: Sequence[Photo]) -> List[CoverageValue]:
-        """Marginal gains of every photo in *photos* against the same state.
-
-        Semantically ``[self.gain_of(p) for p in photos]``; the numpy
-        backend answers all aspect-integral queries of the whole batch
-        with a handful of vectorized prefix lookups per touched PoI.  This
-        is the initial-pool-scan primitive of greedy selection.
-        """
-        if self.backend != "numpy":
-            return [self.gain_of(photo) for photo in photos]
-        return self._gain_numpy_batch(photos)
-
-    def _gain_numpy_scalar(self, photo: Photo) -> CoverageValue:
-        """One photo against the prefix-integral profiles, no ndarray setup.
-
-        Performs the same float64 operations in the same order as
-        :meth:`_gain_numpy_batch` restricted to this photo, so the value is
-        bitwise identical to the batched one -- the property that lets the
-        CELF heap mix initial batched gains with scalar re-evaluations.
-        """
-        if self.free_probability <= 0.0:
-            return CoverageValue.ZERO
-        point_ids, arcs = self.index.incidence_arcs(photo)
-        if not point_ids:
-            return CoverageValue.ZERO
-        point_gain = 0.0
-        for poi_id in point_ids:
-            if poi_id not in self._selected_pois:
-                profile = self._profile_for(poi_id)
-                point_gain += profile.weight * profile.point_survival
-        aspect_gain = 0.0
-        for poi_id, segments in arcs:
-            profile = self._profile_for(poi_id)
-            exclude = self._exclude_for(poi_id)
-            for lo, hi in segments:
-                if exclude:
-                    value = profile.integrate_survival(lo, hi, exclude)
-                else:
-                    value = profile.integral_scalar(lo, hi)
-                if value > 0.0:
-                    aspect_gain += profile.weight * value
-        p = self.free_probability
-        return CoverageValue(point_gain * p, aspect_gain * p)
-
-    def _gain_numpy_batch(self, photos: Sequence[Photo]) -> List[CoverageValue]:
-        np = _backend.get_numpy()
-        count = len(photos)
-        if self.free_probability <= 0.0 or count == 0:
-            return [CoverageValue.ZERO] * count
-        point_gains = [0.0] * count
-        # Flat query lists, photo-major so per-photo accumulation below
-        # runs in each photo's own segment order regardless of which
-        # PoI group answered the query.
-        q_photo: List[int] = []
-        q_poi: List[int] = []
-        q_lo: List[float] = []
-        q_hi: List[float] = []
-        for i, photo in enumerate(photos):
-            point_ids, arcs = self.index.incidence_arcs(photo)
-            if not point_ids:
-                continue
-            point_gain = 0.0
-            for poi_id in point_ids:
-                if poi_id not in self._selected_pois:
-                    profile = self._profile_for(poi_id)
-                    point_gain += profile.weight * profile.point_survival
-            point_gains[i] = point_gain
-            for poi_id, segments in arcs:
-                for lo, hi in segments:
-                    q_photo.append(i)
-                    q_poi.append(poi_id)
-                    q_lo.append(lo)
-                    q_hi.append(hi)
-        integrals = [0.0] * len(q_poi)
-        by_poi: Dict[int, List[int]] = {}
-        for qi, poi_id in enumerate(q_poi):
-            by_poi.setdefault(poi_id, []).append(qi)
-        for poi_id, indices in by_poi.items():
-            profile = self._profile_for(poi_id)
-            exclude = self._exclude_for(poi_id)
-            if exclude:
-                # Incremental strategy with a live selection: fall back to
-                # the scalar exclusion path per query (batch evaluation is
-                # only hot on the initial scan, where nothing is selected).
-                for qi in indices:
-                    integrals[qi] = profile.integrate_survival(q_lo[qi], q_hi[qi], exclude)
-                continue
-            los = np.asarray([q_lo[qi] for qi in indices], dtype=np.float64)
-            his = np.asarray([q_hi[qi] for qi in indices], dtype=np.float64)
-            values = profile.integral_batch(los, his)
-            for qi, value in zip(indices, values.tolist()):
-                integrals[qi] = value
-        aspect_gains = [0.0] * count
-        for qi in range(len(q_poi)):
-            value = integrals[qi]
-            if value > 0.0:
-                aspect_gains[q_photo[qi]] += self._profiles[q_poi[qi]].weight * value
-        p = self.free_probability
-        return [
-            CoverageValue(point_gains[i] * p, aspect_gains[i] * p) for i in range(count)
-        ]
 
     def add(self, photo: Photo) -> CoverageValue:
         """Commit *photo* to the free node's tentative selection."""
@@ -816,10 +476,6 @@ class SelectionEvaluator:
                 self._selected_arcs[poi_id] = arcset
             for lo, hi in segments:
                 arcset.add_segment(lo, hi)
-            if self.strategy == "rebuild":
-                # The profile's zeroed region changed; rebuild lazily on
-                # the next query that touches this PoI.
-                self._profiles.pop(poi_id, None)
         return gain
 
     def selection_profile(self, node_id: int, photos: Iterable[Photo]) -> NodeProfile:
@@ -827,5 +483,3 @@ class SelectionEvaluator:
         frozen into the background of the next selection phase."""
         return build_node_profile(self.index, node_id, photos, self.free_probability)
 
-
-_EMPTY_ARCS = ArcSet()

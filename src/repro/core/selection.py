@@ -121,9 +121,7 @@ def greedy_select(
     when *require_positive_gain* -- no photo strictly improves expected
     coverage.
     """
-    evaluator = SelectionEvaluator(
-        index, background, storage.delivery_probability, pool_size_hint=len(pool)
-    )
+    evaluator = SelectionEvaluator(index, background, storage.delivery_probability)
     selection = NodeSelection(node_id=storage.node_id)
     budget = storage.capacity_bytes
 
@@ -138,13 +136,11 @@ def greedy_select(
     # grows -- see SelectionEvaluator.gain_of), so a max-heap of possibly
     # stale gains is exact: when the top entry's gain is fresh it is the
     # true argmax.  Heap keys order by lexicographic gain (descending),
-    # then smaller photo, then smaller id for determinism.  The initial
-    # scan is one batched evaluation -- on the numpy backend the whole
-    # pool's aspect integrals vectorize per PoI.
+    # then smaller photo, then smaller id for determinism.
     heap: List[Tuple[float, float, int, int, Photo]] = []
-    initial_gains = evaluator.gain_of_batch(pool)
     gain_evaluations += len(pool)
-    for photo, gain in zip(pool, initial_gains):
+    for photo in pool:
+        gain = evaluator.gain_of(photo)
         if require_positive_gain and not gain.is_positive():
             # Submodularity: a photo with no gain now never gains later.
             continue
@@ -189,8 +185,7 @@ def greedy_select(
             selected=len(selection.photos),
             elapsed_s=perf_counter() - started,
             enumeration_s=enumeration_s,
-            backend=evaluator.backend,
-            strategy=evaluator.strategy,
+            strategy="incremental",
         )
     return selection
 
@@ -201,8 +196,6 @@ def greedy_select_reference(
     storage: StorageSpec,
     background: Sequence[NodeProfile],
     require_positive_gain: bool = True,
-    strategy: Optional[str] = None,
-    backend: Optional[str] = None,
 ) -> NodeSelection:
     """Naive evaluate-all-candidates greedy: the full-rebuild reference.
 
@@ -215,9 +208,9 @@ def greedy_select_reference(
     rebuild per round.
 
     This is the oracle :func:`greedy_select` is tested byte-identical
-    against (same *strategy*/*backend* implies bitwise-equal gain values,
-    and submodularity makes the CELF heap pick the same argmax), and the
-    pure-python baseline ``scripts/bench_core.py`` measures speedups over.
+    against (both query the same evaluator, so gain values are bitwise
+    equal, and submodularity makes the CELF heap pick the same argmax),
+    and the baseline ``scripts/bench_core.py`` measures speedups over.
     """
     selection = NodeSelection(node_id=storage.node_id)
     budget = storage.capacity_bytes
@@ -227,18 +220,10 @@ def greedy_select_reference(
     started = perf_counter() if telemetry is not None else 0.0
     gain_evaluations = 0
     iterations = 0
-    evaluator = None
 
     while remaining:
         iterations += 1
-        evaluator = SelectionEvaluator(
-            index,
-            background,
-            storage.delivery_probability,
-            strategy=strategy,
-            backend=backend,
-            pool_size_hint=len(pool),
-        )
+        evaluator = SelectionEvaluator(index, background, storage.delivery_probability)
         for photo in selection.photos:
             evaluator.add(photo)
         best = None
@@ -271,7 +256,6 @@ def greedy_select_reference(
             selected=len(selection.photos),
             elapsed_s=perf_counter() - started,
             enumeration_s=0.0,
-            backend=evaluator.backend if evaluator is not None else "python",
             strategy="reference",
         )
     return selection
@@ -303,11 +287,9 @@ def greedy_reallocate(
 
     first = greedy_select(index, pool, first_spec, background)
 
-    first_profile = NodeProfile(
-        node_id=first_spec.node_id,
-        delivery_probability=first_spec.delivery_probability,
-    )
     # Freeze the first node's selection into the background of the second.
+    # Imported at call time so a wrapper installed on the module attribute
+    # (perfbench's traced run) also times this profile build.
     from .expected_coverage import build_node_profile
 
     first_profile = build_node_profile(

@@ -226,7 +226,7 @@ class WorkloadSpec:
     """Where the ops come from and what they look like.
 
     ``synthetic`` draws users, photos, and contacts from seeded stdlib
-    streams (numpy-free, so the generator runs on the pure-python leg);
+    streams, keeping the load generator dependency-free;
     ``replay`` feeds a built scenario's event stream in simulator order,
     with the stage rates acting as the replay rate multiplier (the trace
     supplies *what*, the stage supplies *how fast*).

@@ -124,7 +124,7 @@ class SimTelemetry:
         )
         self._selection_evaluators = r.counter(
             "repro_selection_evaluator_total",
-            "Selections by evaluator configuration (backend x strategy)",
+            "Greedy selections by strategy (incremental CELF or the reference oracle)",
         )
         self._cache_events = r.counter(
             "repro_metadata_cache_events_total",
@@ -222,13 +222,12 @@ class SimTelemetry:
         selected: int,
         elapsed_s: float,
         enumeration_s: float,
-        backend: str = "python",
         strategy: str = "incremental",
     ) -> None:
         self._selection_iterations.inc(iterations)
         self._selection_gain_evals.inc(gain_evaluations)
         self._selection_selected.inc(selected)
-        self._selection_evaluators.labels(backend=backend, strategy=strategy).inc()
+        self._selection_evaluators.labels(strategy=strategy).inc()
         self._selection_pool.observe(pool_size)
         self.profiler.add("selection", elapsed_s)
         self.profiler.add("expected_coverage", enumeration_s)

@@ -3,8 +3,8 @@
 Re-exports load lazily (PEP 562): the trace *model* and parsers are pure
 python, but analysis/synthesis/mobility are numpy-backed.  Importing this
 package -- which :mod:`repro.dtn.simulator` does for ``ContactTrace`` --
-must therefore not touch the numerical modules, or the pure-python
-selection backend could never run on a numpy-free interpreter.
+touches only the submodules a caller actually names, which keeps
+``import repro.dtn`` and the service's start-up light.
 """
 
 import importlib

@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..core.geometry import Point
 from ..core.metadata import DEFAULT_PHOTO_SIZE_BYTES, Photo, PhotoMetadata
 from ..core.poi import PoIList
@@ -71,8 +73,6 @@ class PhotoGenerator:
     ) -> None:
         if spec.targeted_fraction > 0.0 and (pois is None or len(pois) == 0):
             raise ValueError("targeted generation requires a non-empty PoI list")
-        import numpy as np  # deferred: keeps the module importable without numpy
-
         self.spec = spec
         self.pois = pois
         self._rng = np.random.default_rng(seed)
@@ -157,8 +157,6 @@ def generate_photo_schedule(
         raise ValueError(f"photos_per_hour must be non-negative, got {photos_per_hour}")
     if not participant_ids:
         raise ValueError("need at least one participant")
-    import numpy as np  # deferred: keeps the module importable without numpy
-
     rng = np.random.default_rng(seed)
     arrivals: List[PhotoArrival] = []
     if photos_per_hour == 0.0:

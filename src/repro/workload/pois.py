@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from ..core.geometry import Point
 from ..core.poi import PoI, PoIList
 
@@ -27,8 +29,6 @@ def random_pois(
         raise ValueError(f"count must be non-negative, got {count}")
     if weights is not None and len(weights) != count:
         raise ValueError(f"expected {count} weights, got {len(weights)}")
-    import numpy as np  # deferred: keeps the module importable without numpy
-
     rng = np.random.default_rng(seed)
     pois: List[PoI] = []
     for i in range(count):
@@ -52,8 +52,6 @@ def clustered_pois(
     """
     if num_clusters < 1 or pois_per_cluster < 1:
         raise ValueError("need at least one cluster and one PoI per cluster")
-    import numpy as np  # deferred: keeps the module importable without numpy
-
     rng = np.random.default_rng(seed)
     pois: List[PoI] = []
     for _ in range(num_clusters):
@@ -82,8 +80,6 @@ def ring_viewpoints(
         raise ValueError(f"count must be at least 1, got {count}")
     if radius_m <= 0.0:
         raise ValueError(f"radius must be positive, got {radius_m}")
-    import numpy as np  # deferred: keeps the module importable without numpy
-
     rng = np.random.default_rng(seed)
     points: List[Point] = []
     for i in range(count):

@@ -13,15 +13,11 @@ three must agree within documented tolerances:
   error per PoI is at most 0.5/sqrt(N); with N = 4000 and 3 PoIs a 6-sigma
   band is ~0.14 in summed point coverage (aspect scales by 2*pi).
 
-A second family of differentials pits the ``numpy`` backend against the
-pure-python reference: the vectorized endpoint sweep, the prefix-integral
-``SelectionEvaluator`` profiles, and the batched ``gain_of_batch`` must
-all reproduce the scalar results -- to 1e-9 across backends (different
-summation orders), and **bitwise** between the scalar and batched paths
-of the numpy backend itself (the CELF heap mixes the two).  Everything in
-this module except the Monte-Carlo cross-check runs with numpy absent;
-the backend differentials then skip and the reference path is still fully
-exercised.
+A second differential checks the greedy selection's evaluator against the
+sweep: on aspect-restricted PoIs with a random committed prefix,
+``SelectionEvaluator.gain_of`` must equal the ``expected_coverage`` delta
+of adding the photo to the free node's collection, to 1e-9.  It is the
+randomized oracle for the evaluator's exclude-segment bookkeeping.
 """
 
 from __future__ import annotations
@@ -33,7 +29,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import backend
 from repro.core.angular import AngularInterval, ArcSet
 from repro.core.coverage_index import CoverageIndex
 from repro.core.expected_coverage import (
@@ -47,10 +42,6 @@ from repro.core.geometry import Point
 from repro.core.poi import PoI, PoIList
 
 from helpers import photo_at_aspect
-
-needs_numpy = pytest.mark.skipif(
-    not backend.numpy_available(), reason="numpy not installed"
-)
 
 THETA = math.radians(30.0)
 
@@ -94,7 +85,6 @@ class TestSweepAgainstEnumeration:
         assert exact.aspect == pytest.approx(enumerated.aspect, rel=1e-9, abs=1e-12)
 
 
-@needs_numpy
 class TestSweepAgainstSampling:
     #: 6-sigma statistical band for N=4000 samples over 3 unit-weight PoIs.
     POINT_TOLERANCE = 0.15
@@ -111,7 +101,6 @@ class TestSweepAgainstSampling:
         assert sampled.aspect == pytest.approx(exact.aspect, abs=self.ASPECT_TOLERANCE)
 
 
-@needs_numpy  # expected_coverage_sampled is numpy-backed
 class TestEvaluatorEdgeAgreement:
     def test_all_three_agree_on_empty_profile_set(self):
         index = _index()
@@ -158,126 +147,32 @@ def _random_pool(rng: random.Random, size: int):
     ]
 
 
-def _forced_sweep(value: int):
-    """Temporarily lower NUMPY_SWEEP_CUTOVER so small cases vectorize too."""
-    class _Guard:
-        def __enter__(self):
-            self.previous = backend.NUMPY_SWEEP_CUTOVER
-            backend.NUMPY_SWEEP_CUTOVER = value
-
-        def __exit__(self, *exc):
-            backend.NUMPY_SWEEP_CUTOVER = self.previous
-
-    return _Guard()
-
-
-@needs_numpy
-class TestBackendSweepDifferential:
-    """python vs numpy ``expected_coverage`` on randomized profiles."""
+class TestEvaluatorAgainstSweep:
+    """``SelectionEvaluator.gain_of`` vs the exact sweep's marginal delta."""
 
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
-        m=st.integers(min_value=1, max_value=16),
+        m=st.integers(min_value=0, max_value=16),
     )
     @settings(max_examples=60, deadline=None)
-    def test_numpy_sweep_matches_python_sweep(self, seed, m):
-        rng = random.Random(seed)
-        index = CoverageIndex(_restricted_pois(rng), effective_angle=THETA)
-        profiles = _random_profiles(rng, index, m)
-        with backend.use_backend("python"):
-            reference = expected_coverage(index, profiles)
-        with _forced_sweep(0), backend.use_backend("numpy"):
-            vectorized = expected_coverage(index, profiles)
-        assert vectorized.point == pytest.approx(reference.point, rel=1e-9, abs=1e-12)
-        assert vectorized.aspect == pytest.approx(reference.aspect, rel=1e-9, abs=1e-12)
-
-    @given(
-        seed=st.integers(min_value=0, max_value=10_000),
-        m=st.integers(min_value=0, max_value=6),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_numpy_sweep_matches_definition_2(self, seed, m):
-        index = _index()
-        profiles = _random_profiles(random.Random(seed), index, m)
-        enumerated = expected_coverage_enumerated(index, profiles)
-        with _forced_sweep(0), backend.use_backend("numpy"):
-            vectorized = expected_coverage(index, profiles)
-        assert vectorized.point == pytest.approx(enumerated.point, rel=1e-9, abs=1e-12)
-        assert vectorized.aspect == pytest.approx(enumerated.aspect, rel=1e-9, abs=1e-12)
-
-
-@needs_numpy
-class TestBackendEvaluatorDifferential:
-    """python vs numpy ``SelectionEvaluator`` gains on randomized pools."""
-
-    @given(
-        seed=st.integers(min_value=0, max_value=10_000),
-        m=st.integers(min_value=1, max_value=16),
-        strategy=st.sampled_from(["incremental", "rebuild"]),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_gain_of_agrees_across_backends(self, seed, m, strategy):
+    def test_gain_equals_sweep_delta(self, seed, m):
         rng = random.Random(seed)
         index = CoverageIndex(_restricted_pois(rng), effective_angle=THETA)
         profiles = _random_profiles(rng, index, m)
         pool = _random_pool(rng, rng.randint(1, 12))
         probability = rng.uniform(0.05, 1.0)
-        committed = rng.sample(pool, rng.randint(0, min(3, len(pool))))
+        committed = pool[: rng.randint(0, len(pool) - 1)]
+        free_id = m + 1  # _random_profiles numbers the background 1..m
 
-        gains = {}
-        for name in ("python", "numpy"):
-            with backend.use_backend(name):
-                evaluator = SelectionEvaluator(
-                    index, profiles, probability, strategy=strategy, backend=name
-                )
-                for photo in committed:
-                    evaluator.add(photo)
-                gains[name] = [evaluator.gain_of(photo) for photo in pool]
-        for reference, vectorized in zip(gains["python"], gains["numpy"]):
-            assert vectorized.point == pytest.approx(reference.point, rel=1e-9, abs=1e-12)
-            assert vectorized.aspect == pytest.approx(reference.aspect, rel=1e-9, abs=1e-12)
-
-    @given(
-        seed=st.integers(min_value=0, max_value=10_000),
-        m=st.integers(min_value=0, max_value=8),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_numpy_batch_is_bitwise_identical_to_numpy_scalar(self, seed, m):
-        """The CELF heap mixes batched and scalar gains; they must be equal
-        as floats, not merely close."""
-        rng = random.Random(seed)
-        index = CoverageIndex(_restricted_pois(rng), effective_angle=THETA)
-        profiles = _random_profiles(rng, index, m)
-        pool = _random_pool(rng, rng.randint(1, 20))
-        with backend.use_backend("numpy"):
-            evaluator = SelectionEvaluator(
-                index, profiles, rng.uniform(0.05, 1.0), backend="numpy"
-            )
-            batched = evaluator.gain_of_batch(pool)
-            scalar = [evaluator.gain_of(photo) for photo in pool]
-        for one, many in zip(scalar, batched):
-            assert one.point == many.point
-            assert one.aspect == many.aspect
-
-    @given(seed=st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=40, deadline=None)
-    def test_strategies_agree_within_python_backend(self, seed):
-        """incremental exclude-bookkeeping == rebuild profile-zeroing."""
-        rng = random.Random(seed)
-        index = CoverageIndex(_restricted_pois(rng), effective_angle=THETA)
-        profiles = _random_profiles(rng, index, rng.randint(0, 6))
-        pool = _random_pool(rng, rng.randint(2, 10))
-        probability = rng.uniform(0.05, 1.0)
-        committed = pool[: rng.randint(1, len(pool) // 2 + 1)]
-
-        gains = {}
-        for strategy in ("incremental", "rebuild"):
-            evaluator = SelectionEvaluator(
-                index, profiles, probability, strategy=strategy, backend="python"
-            )
-            for photo in committed:
-                evaluator.add(photo)
-            gains[strategy] = [evaluator.gain_of(photo) for photo in pool]
-        for a, b in zip(gains["incremental"], gains["rebuild"]):
-            assert a.point == pytest.approx(b.point, rel=1e-9, abs=1e-12)
-            assert a.aspect == pytest.approx(b.aspect, rel=1e-9, abs=1e-12)
+        evaluator = SelectionEvaluator(index, profiles, probability)
+        for photo in committed:
+            evaluator.add(photo)
+        before = expected_coverage(
+            index, profiles + [build_node_profile(index, free_id, committed, probability)]
+        )
+        for photo in pool:
+            gain = evaluator.gain_of(photo)
+            free = build_node_profile(index, free_id, committed + [photo], probability)
+            after = expected_coverage(index, profiles + [free])
+            assert gain.point == pytest.approx(after.point - before.point, rel=1e-9, abs=1e-9)
+            assert gain.aspect == pytest.approx(after.aspect - before.aspect, rel=1e-9, abs=1e-9)

@@ -2,13 +2,10 @@
 
 The differential and equivalence suites check that evaluators agree with
 *each other*; this suite checks they agree with *yesterday* -- an absolute
-regression anchor like ``tests/golden/metrics.prom``.  The golden file
-stores, per backend, the selected photos' **pool indices** (photo ids are
-a process-global counter and differ between runs) in greedy order plus
-the per-step gains.  Backends are pinned separately: their per-query
-gains agree to machine epsilon, but a floating-point tie can break
-differently, after which the two equally-valid greedy trajectories
-diverge.
+regression anchor like ``tests/golden/metrics.prom``.  The golden file's
+``python`` entry stores the selected photos' **pool indices** (photo ids
+are a process-global counter and differ between runs) in greedy order
+plus the per-step gains.
 
 Regenerate after an intentional algorithm change with::
 
@@ -25,7 +22,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import backend
 from repro.core.angular import AngularInterval, ArcSet
 from repro.core.coverage_index import CoverageIndex
 from repro.core.expected_coverage import build_node_profile
@@ -36,8 +32,7 @@ from repro.core.selection import StorageSpec, greedy_select
 from helpers import MB, photo_at_aspect
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "selection_seed0.json"
-
-BACKENDS = ["python"] + (["numpy"] if backend.numpy_available() else [])
+GOLDEN_KEY = "python"
 
 
 def _scenario():
@@ -73,11 +68,10 @@ def _scenario():
     return index, pool, background, storage
 
 
-def _run(backend_name: str):
+def _run():
     index, pool, background, storage = _scenario()
     index_of = {photo.photo_id: i for i, photo in enumerate(pool)}
-    with backend.use_backend(backend_name):
-        selection = greedy_select(index, pool, storage, background)
+    selection = greedy_select(index, pool, storage, background)
     return {
         "pool_indices": [index_of[photo.photo_id] for photo in selection.photos],
         "gains": [[gain.point, gain.aspect] for gain in selection.gains],
@@ -88,39 +82,19 @@ def _regen_requested() -> bool:
     return os.environ.get("REPRO_REGEN_GOLDEN", "") not in ("", "0")
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
-def test_selection_matches_golden(backend_name):
-    result = _run(backend_name)
+def test_selection_matches_golden():
+    result = _run()
     assert result["pool_indices"], "the pinned scenario must select something"
 
     if _regen_requested():
         recorded = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
-        recorded[backend_name] = result
+        recorded[GOLDEN_KEY] = result
         GOLDEN_PATH.write_text(json.dumps(recorded, indent=2, sort_keys=True) + "\n")
-        pytest.skip(f"regenerated {GOLDEN_PATH.name}[{backend_name}]")
+        pytest.skip(f"regenerated {GOLDEN_PATH.name}[{GOLDEN_KEY}]")
 
-    recorded = json.loads(GOLDEN_PATH.read_text())
-    assert backend_name in recorded, (
-        f"no golden entry for backend {backend_name!r}; regenerate with "
-        "REPRO_REGEN_GOLDEN=1"
-    )
-    want = recorded[backend_name]
+    want = json.loads(GOLDEN_PATH.read_text())[GOLDEN_KEY]
     assert result["pool_indices"] == want["pool_indices"]
     assert len(result["gains"]) == len(want["gains"])
     for got, expected in zip(result["gains"], want["gains"]):
         assert got[0] == pytest.approx(expected[0], rel=1e-9, abs=1e-12)
         assert got[1] == pytest.approx(expected[1], rel=1e-9, abs=1e-12)
-
-
-def test_golden_backends_agree_on_totals():
-    """Trajectories may tie-break apart; realized totals must stay close."""
-    recorded = json.loads(GOLDEN_PATH.read_text())
-    totals = {
-        name: [sum(g[0] for g in entry["gains"]), sum(g[1] for g in entry["gains"])]
-        for name, entry in recorded.items()
-    }
-    reference = totals.get("python")
-    assert reference is not None
-    for name, total in totals.items():
-        assert total[0] == pytest.approx(reference[0], rel=5e-2)
-        assert total[1] == pytest.approx(reference[1], rel=5e-2)

@@ -3,11 +3,10 @@
 :func:`repro.core.selection.greedy_select` prunes gain evaluations with a
 stale-tolerant max-heap; :func:`greedy_select_reference` re-evaluates every
 remaining candidate each round against a freshly rebuilt evaluator.
-Submodularity makes the two pick the same argmax at every step, and the
-backend contract (scalar, batched, and rebuilt-profile gain queries all
-bitwise equal within one configuration) makes the agreement exact: same
-photo order, same gain floats -- across backends, strategies, fault-
-perturbed pools, and with telemetry on or off.
+Submodularity makes the two pick the same argmax at every step, and both
+query the same :class:`~repro.core.expected_coverage.SelectionEvaluator`,
+so the agreement is exact: same photo order, same gain floats -- across
+seeds, fault-perturbed pools, and with telemetry on or off.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import random
 
 import pytest
 
-from repro.core import backend
 from repro.core.coverage_index import CoverageIndex
 from repro.core.expected_coverage import build_node_profile
 from repro.core.geometry import Point
@@ -31,9 +29,6 @@ from helpers import MB, photo_at_aspect
 
 THETA = math.radians(30.0)
 POIS = [Point(0.0, 0.0), Point(500.0, 0.0), Point(0.0, 500.0), Point(500.0, 500.0)]
-
-BACKENDS = ["python"] + (["numpy"] if backend.numpy_available() else [])
-STRATEGIES = ["incremental", "rebuild"]
 
 
 def _scenario(seed: int, pool_size: int = 60, m: int = 5):
@@ -68,70 +63,54 @@ def _assert_byte_identical(lazy, naive):
         assert a.aspect == b.aspect
 
 
-@pytest.mark.parametrize("strategy", STRATEGIES)
-@pytest.mark.parametrize("backend_name", BACKENDS)
 @pytest.mark.parametrize("seed", range(4))
-def test_celf_equals_naive_greedy(monkeypatch, backend_name, strategy, seed):
-    monkeypatch.setenv(backend.STRATEGY_ENV, strategy)
+def test_celf_equals_naive_greedy(seed):
     index, pool, background, storage = _scenario(seed)
-    with backend.use_backend(backend_name):
-        lazy = greedy_select(index, pool, storage, background)
-        naive = greedy_select_reference(
-            index, pool, storage, background, strategy=strategy, backend=backend_name
-        )
+    lazy = greedy_select(index, pool, storage, background)
+    naive = greedy_select_reference(index, pool, storage, background)
     _assert_byte_identical(lazy, naive)
     assert lazy.photos, "scenario must actually select something"
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
 @pytest.mark.parametrize("intensity", [0.3, 0.6])
-def test_celf_equals_naive_on_fault_perturbed_pools(backend_name, intensity):
+def test_celf_equals_naive_on_fault_perturbed_pools(intensity):
     """Fault-injected pools (dropped photos) preserve the equivalence."""
     index, pool, background, storage = _scenario(seed=99, pool_size=80)
     injector = FaultInjector(FaultPlan.scaled(intensity, seed=7))
     perturbed = injector.surviving_photos(pool)
     assert perturbed, "fault plan must leave a non-empty pool"
-    with backend.use_backend(backend_name):
-        lazy = greedy_select(index, perturbed, storage, background)
-        naive = greedy_select_reference(
-            index, perturbed, storage, background, backend=backend_name
-        )
+    lazy = greedy_select(index, perturbed, storage, background)
+    naive = greedy_select_reference(index, perturbed, storage, background)
     _assert_byte_identical(lazy, naive)
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
-def test_telemetry_does_not_change_selection(backend_name):
+def test_telemetry_does_not_change_selection():
     index, pool, background, storage = _scenario(seed=5)
-    with backend.use_backend(backend_name):
-        plain = greedy_select(index, pool, storage, background)
-        telemetry = SimTelemetry()
-        with activated(telemetry):
-            observed = greedy_select(index, pool, storage, background)
-            observed_naive = greedy_select_reference(
-                index, pool, storage, background, backend=backend_name
-            )
+    plain = greedy_select(index, pool, storage, background)
+    telemetry = SimTelemetry()
+    with activated(telemetry):
+        observed = greedy_select(index, pool, storage, background)
+        observed_naive = greedy_select_reference(index, pool, storage, background)
     _assert_byte_identical(plain, observed)
     _assert_byte_identical(plain, observed_naive)
-    # The hooks really fired: per-configuration evaluator counter and the
-    # gain-evaluation tally are both non-zero.
+    # The hooks really fired: one selection per strategy label and a
+    # non-zero gain-evaluation tally.
     snapshot = telemetry.registry.snapshot()
     evaluators = snapshot["repro_selection_evaluator_total"]["samples"]
-    assert sum(s["value"] for s in evaluators) == 2.0
-    assert {s["labels"]["strategy"] for s in evaluators} >= {"reference"}
+    assert {s["labels"]["strategy"]: s["value"] for s in evaluators} == {
+        "incremental": 1.0,
+        "reference": 1.0,
+    }
     gain_evals = snapshot["repro_selection_gain_evaluations_total"]["samples"]
     assert gain_evals[0]["value"] > 0
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
-def test_zero_capacity_and_zero_probability_edges(backend_name):
+def test_zero_capacity_and_zero_probability_edges():
     index, pool, background, _ = _scenario(seed=11, pool_size=30)
     empty = StorageSpec(node_id=1, capacity_bytes=0, delivery_probability=0.5)
     hopeless = StorageSpec(node_id=1, capacity_bytes=40 * MB, delivery_probability=0.0)
-    with backend.use_backend(backend_name):
-        for storage in (empty, hopeless):
-            lazy = greedy_select(index, pool, storage, background)
-            naive = greedy_select_reference(
-                index, pool, storage, background, backend=backend_name
-            )
-            _assert_byte_identical(lazy, naive)
-            assert lazy.photos == []
+    for storage in (empty, hopeless):
+        lazy = greedy_select(index, pool, storage, background)
+        naive = greedy_select_reference(index, pool, storage, background)
+        _assert_byte_identical(lazy, naive)
+        assert lazy.photos == []
