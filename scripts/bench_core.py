@@ -9,8 +9,8 @@ III-D):
   CELF heap over one incremental
   :class:`~repro.core.expected_coverage.SelectionEvaluator`.  Timed twice,
   without telemetry and inside an activated :class:`~repro.obs.SimTelemetry`
-  (whose registry supplies the ``gain_evals`` counts and profiler phase
-  timings).
+  (whose registry supplies the ``gain_evals`` counts and phase
+  timers).
 * **baseline** -- :func:`repro.core.selection.greedy_select_reference`:
   a fresh evaluator per greedy round, every remaining candidate
   re-evaluated.  This is the naive full-rebuild cost the optimized path

@@ -354,6 +354,33 @@ class Simulation:
         finally:
             self._bandwidth_scale = 1.0
 
+    def crash_node(self, node_id: int) -> bool:
+        """Crash *node_id* under the fault plan; False if unknown or down.
+
+        The node keeps the photos the plan's storage loss spares and, with
+        ``cache_loss_on_crash``, loses its protocol state (see
+        :meth:`~repro.dtn.node.DTNNode.crash`).
+        """
+        node = self.nodes.get(node_id)
+        if node is None or not node.alive:
+            return False
+        assert self.faults is not None
+        node.crash(
+            surviving_photos=self.faults.surviving_photos(node.storage.photos()),
+            wipe_protocol_state=self.config.fault_plan.cache_loss_on_crash,
+        )
+        self.result.fault_counters.crashes += 1
+        return True
+
+    def restart_node(self, node_id: int) -> bool:
+        """Bring a crashed *node_id* back; False if unknown or already up."""
+        node = self.nodes.get(node_id)
+        if node is None or node.alive:
+            return False
+        node.restart()
+        self.result.fault_counters.restarts += 1
+        return True
+
     # ------------------------------------------------------------------
     # The event loop
     # ------------------------------------------------------------------
@@ -375,7 +402,6 @@ class Simulation:
         return self.result
 
     def _run_loop(self) -> None:
-        counters = self.result.fault_counters
         while self._queue:
             event = self._queue.pop()
             self._now = event.time
@@ -388,23 +414,11 @@ class Simulation:
                 self.handle_contact(node_a_id, node_b_id, event.time, duration, scale)
             elif event.kind == EventKind.NODE_CRASH:
                 node_id, restart_time = event.payload
-                node = self.nodes.get(node_id)
-                if node is None or not node.alive:
-                    continue  # unknown node or already down: crash merges
-                assert self.faults is not None
-                survivors = self.faults.surviving_photos(node.storage.photos())
-                node.crash(
-                    surviving_photos=survivors,
-                    wipe_protocol_state=self.config.fault_plan.cache_loss_on_crash,
-                )
-                counters.crashes += 1
-                self._queue.push(Event(restart_time, EventKind.NODE_RESTART, node_id))
+                # An unknown node or one already down: the crash merges.
+                if self.crash_node(node_id):
+                    self._queue.push(Event(restart_time, EventKind.NODE_RESTART, node_id))
             elif event.kind == EventKind.NODE_RESTART:
-                node = self.nodes.get(event.payload)
-                if node is None or node.alive:
-                    continue
-                node.restart()
-                counters.restarts += 1
+                self.restart_node(event.payload)
             elif event.kind == EventKind.SAMPLE:
                 self._record_sample(event.time)
             elif event.kind == EventKind.END:

@@ -93,10 +93,15 @@ def telemetry_report(manifest: Dict[str, Any]) -> str:
         f"total unit time {timings.get('total_unit_s', 0.0):.1f}s",
     ]
 
+    phases = sorted(
+        (sample["labels"]["phase"], sample["value"])
+        for sample in metrics.get("repro_phase_seconds", {}).get("samples", [])
+        if sample["value"]["count"]
+    )
     profile_rows = [
-        [phase, str(stats["calls"]), f"{stats['total_s']:.3f}s",
-         f"{1000.0 * stats['total_s'] / stats['calls']:.2f}ms" if stats["calls"] else "-"]
-        for phase, stats in sorted(timings.get("profile", {}).items())
+        [phase, str(stats["count"]), f"{stats['sum']:.3f}s",
+         f"{1000.0 * stats['sum'] / stats['count']:.2f}ms"]
+        for phase, stats in phases
     ]
 
     counter_rows: List[List[str]] = []

@@ -1,6 +1,6 @@
-"""Observability: metrics registry, simulation telemetry, and profiling.
+"""Observability: metrics registry, simulation telemetry, and manifests.
 
-Three layers, composable and individually usable:
+Two layers, composable and individually usable:
 
 * :mod:`repro.obs.registry` -- a dependency-free, Prometheus-shaped
   metrics registry (counters, gauges, histograms, timers; labeled
@@ -8,13 +8,15 @@ Three layers, composable and individually usable:
   disabled mode (:data:`~repro.obs.registry.NULL_REGISTRY`).
 * :mod:`repro.obs.telemetry` -- :class:`~repro.obs.telemetry.SimTelemetry`,
   the hook set the DTN simulator, core algorithms, and metadata cache
-  feed; plus the :class:`~repro.obs.telemetry.SimulationObserver`
-  protocol shared with the structured event log.
-* :mod:`repro.obs.profiler` -- per-phase wall-clock breakdown (selection
-  vs transfer scheduling vs expected-coverage enumeration).
+  feed, including the per-phase wall-clock timers
+  ``repro_phase_seconds{phase=selection|expected_coverage|transfer}``;
+  plus the :class:`~repro.obs.telemetry.SimulationObserver` protocol
+  shared with the structured event log.
 
 :mod:`repro.obs.manifest` aggregates all of it across an experiment
-engine run plan into a validated ``manifest.json``.
+engine run plan into a validated ``manifest.json``; the same
+:func:`~repro.obs.manifest.validate_manifest` checks service-session
+manifests and load reports, dispatching on their ``kind``.
 
 Enable from the CLI with ``--telemetry`` on any engine-backed command,
 inspect with ``repro metrics <manifest.json>``, or programmatically::
@@ -33,12 +35,11 @@ from .manifest import (
     ManifestError,
     build_manifest,
     build_service_manifest,
+    ensure_valid_manifest,
     load_manifest,
     validate_manifest,
-    validate_service_manifest,
     write_manifest,
 )
-from .profiler import NULL_PROFILER, PhaseStats, Profiler, merge_profiles
 from .registry import (
     NULL_REGISTRY,
     Counter,
@@ -59,10 +60,6 @@ __all__ = [
     "MetricsRegistry",
     "NULL_REGISTRY",
     "registry_from_snapshot",
-    "Profiler",
-    "PhaseStats",
-    "NULL_PROFILER",
-    "merge_profiles",
     "SimTelemetry",
     "SimulationObserver",
     "TELEMETRY_SCHEMA_VERSION",
@@ -73,8 +70,8 @@ __all__ = [
     "SERVICE_MANIFEST_SCHEMA_VERSION",
     "build_manifest",
     "build_service_manifest",
+    "ensure_valid_manifest",
     "load_manifest",
     "validate_manifest",
-    "validate_service_manifest",
     "write_manifest",
 ]

@@ -1,27 +1,29 @@
-"""Run manifests: one JSON document describing an executed run plan.
+"""Manifests: JSON documents describing an executed run, service
+session, or load-generator run.
 
-A manifest is the engine's flight recorder -- written beside the result
-cache (or wherever ``manifest_path`` points), it captures everything
-needed to audit a sweep after the fact: the content hash of the plan,
-which schemes and seeds ran, per-unit wall-clock timings and cache
-provenance, the aggregated wall-clock profile, a merged metric snapshot,
-and each scheme's coverage-over-time curve.
+A run manifest is the engine's flight recorder -- written beside the
+result cache (or wherever ``manifest_path`` points), it captures
+everything needed to audit a sweep after the fact: the content hash of
+the plan, which schemes and seeds ran, per-unit wall-clock timings and
+cache provenance, a merged metric snapshot (including the per-phase
+``repro_phase_seconds`` timers), and each scheme's coverage-over-time
+curve.  Service-session manifests (``kind: "service-session"``) and load
+reports (``kind: "load-report"``) are the other two kinds.
 
-The schema is deliberately small and validated structurally by
-:func:`validate_manifest` (no external jsonschema dependency); CI runs a
-telemetry smoke job that emits a manifest and validates it on every push.
+Each kind's shape is one declarative field table (:class:`Rule`), and
+:func:`validate_manifest` walks a payload against the table its ``kind``
+selects (no external jsonschema dependency); CI validates every kind it
+emits on every push.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
-
-from .profiler import merge_profiles
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "MANIFEST_SCHEMA_VERSION",
@@ -33,15 +35,13 @@ __all__ = [
     "merge_metric_snapshots",
     "plan_hash",
     "validate_manifest",
-    "validate_service_manifest",
-    "validate_load_report",
-    "ensure_valid_load_report",
+    "ensure_valid_manifest",
     "write_manifest",
     "load_manifest",
 ]
 
 #: Bumped when the manifest payload shape changes.
-MANIFEST_SCHEMA_VERSION = 1
+MANIFEST_SCHEMA_VERSION = 2
 
 #: Bumped when the service-session manifest shape changes.
 SERVICE_MANIFEST_SCHEMA_VERSION = 1
@@ -165,7 +165,6 @@ def build_manifest(
     """
     units: List[Dict[str, Any]] = []
     telemetry_snapshots: List[Dict[str, Any]] = []
-    profiles: List[Dict[str, Any]] = []
     coverage_by_scheme: Dict[str, List[Dict[str, float]]] = {}
     for outcome in outcomes:
         unit = outcome.unit
@@ -189,7 +188,6 @@ def build_manifest(
         units.append(entry)
         if telemetry:
             telemetry_snapshots.append(telemetry.get("metrics", {}))
-            profiles.append(telemetry.get("profile", {}))
             curve = telemetry.get("coverage_curve") or []
             if curve and unit.scheme not in coverage_by_scheme:
                 coverage_by_scheme[unit.scheme] = curve
@@ -211,7 +209,6 @@ def build_manifest(
             "total_unit_s": sum(u["duration_s"] for u in units),
             "cached_units": sum(1 for u in units if u["cached"]),
             "executed_units": sum(1 for u in units if not u["cached"]),
-            "profile": merge_profiles(profiles),
         },
         "metrics": merge_metric_snapshots(telemetry_snapshots),
         "coverage_over_time": coverage_by_scheme,
@@ -249,316 +246,216 @@ def build_service_manifest(
     return manifest
 
 
-def validate_service_manifest(payload: Dict[str, Any]) -> List[str]:
-    """Structurally validate a service manifest; returns found problems."""
-    errors: List[str] = []
-    if not isinstance(payload, dict):
-        return ["service manifest is not a JSON object"]
-    for key in ("schema_version", "kind", "generator", "routing", "variants", "metrics"):
-        if key not in payload:
-            _fail(errors, f"missing required key {key!r}")
-    if errors:
-        return errors
-    if payload["schema_version"] != SERVICE_MANIFEST_SCHEMA_VERSION:
-        _fail(
-            errors,
-            f"schema_version {payload['schema_version']!r}"
-            f" != {SERVICE_MANIFEST_SCHEMA_VERSION}",
-        )
-    if payload["kind"] != "service-session":
-        _fail(errors, f"kind must be 'service-session', got {payload['kind']!r}")
-    if not isinstance(payload["generator"], str):
-        _fail(errors, "generator must be a string")
-    routing = payload["routing"]
-    if not isinstance(routing, dict):
-        _fail(errors, "routing must be an object")
-    else:
-        for key in ("champion", "champion_pct", "challenger_pct", "fallbacks"):
-            if key not in routing:
-                _fail(errors, f"routing missing {key!r}")
-    variants = payload["variants"]
-    if not (isinstance(variants, dict) and variants):
-        _fail(errors, "variants must be a non-empty object")
-    else:
-        for name, summary in variants.items():
-            if not isinstance(summary, dict):
-                _fail(errors, f"variants[{name!r}] is not an object")
-                continue
-            for key in ("scheme", "requests", "coverage", "latency"):
-                if key not in summary:
-                    _fail(errors, f"variants[{name!r}] missing {key!r}")
-            persistence = summary.get("persistence")
-            if persistence is not None:
-                if not isinstance(persistence, dict):
-                    _fail(errors, f"variants[{name!r}].persistence must be an object")
-                    continue
-                for key in ("wal_dir", "fsync", "snapshot_seq", "recovery"):
-                    if key not in persistence:
-                        _fail(errors, f"variants[{name!r}].persistence missing {key!r}")
-                recovery = persistence.get("recovery")
-                if recovery is not None and isinstance(recovery, dict):
-                    for key in (
-                        "snapshot_seq", "replayed_records",
-                        "truncated_bytes", "duration_s",
-                    ):
-                        if key not in recovery:
-                            _fail(
-                                errors,
-                                f"variants[{name!r}].persistence.recovery"
-                                f" missing {key!r}",
-                            )
-                elif recovery is not None:
-                    _fail(
-                        errors,
-                        f"variants[{name!r}].persistence.recovery must be an object",
-                    )
-    if not isinstance(payload["metrics"], dict):
-        _fail(errors, "metrics must be an object")
-    return errors
+# ----------------------------------------------------------------------
+# Validation: one field table per manifest kind, one walker
+# ----------------------------------------------------------------------
 
 
-def ensure_valid_service_manifest(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Validate *payload*, raising :class:`ManifestError` on problems."""
-    errors = validate_service_manifest(payload)
-    if errors:
-        raise ManifestError("; ".join(errors))
-    return payload
+@dataclass(frozen=True)
+class Rule:
+    """What one payload value must look like.
 
-
-def validate_load_report(payload: Dict[str, Any]) -> List[str]:
-    """Structurally validate a load-generator report; returns problems.
-
-    The report is ``repro.loadgen``'s manifest kind: plan echo, per-stage
-    offered/achieved rates, per-op latency quantiles, exact accounting,
-    and the SLO verdict CI gates on.
+    *type* names an entry of :data:`_TYPES`.  An object's *fields* map
+    its keys to rules; *values* is the rule every entry of an object
+    used as a map must meet; *items* is the rule every list item must
+    meet.  A key whose rule is not *required* may be absent, a
+    *nullable* value may be ``None``, *const* pins the value, and
+    *non_empty* rejects an empty list or object.
     """
-    errors: List[str] = []
-    if not isinstance(payload, dict):
-        return ["load report is not a JSON object"]
-    required = (
-        "schema_version", "kind", "generated_by", "plan", "target",
-        "wall_duration_s", "stages", "ops", "accounting", "slo",
-    )
-    for key in required:
-        if key not in payload:
-            _fail(errors, f"missing required key {key!r}")
-    if errors:
-        return errors
-    if payload["schema_version"] != LOAD_REPORT_SCHEMA_VERSION:
-        _fail(
-            errors,
-            f"schema_version {payload['schema_version']!r}"
-            f" != {LOAD_REPORT_SCHEMA_VERSION}",
-        )
-    if payload["kind"] != "load-report":
-        _fail(errors, f"kind must be 'load-report', got {payload['kind']!r}")
-    if not isinstance(payload["generated_by"], str):
-        _fail(errors, "generated_by must be a string")
-    plan = payload["plan"]
-    if not isinstance(plan, dict) or "stages" not in plan:
-        _fail(errors, "plan must be an object carrying its stages")
-    target = payload["target"]
-    if not (isinstance(target, dict) and "host" in target and "port" in target):
-        _fail(errors, "target must carry host and port")
-    duration = payload["wall_duration_s"]
-    if (
-        not isinstance(duration, (int, float))
-        or isinstance(duration, bool)
-        or duration < 0
-        or math.isnan(float(duration))
-    ):
-        _fail(errors, "wall_duration_s must be a non-negative number")
 
-    stages = payload["stages"]
-    if not isinstance(stages, list):
-        _fail(errors, "stages must be a list")
-        stages = []
-    for i, stage in enumerate(stages):
-        if not isinstance(stage, dict):
-            _fail(errors, f"stages[{i}] is not an object")
-            continue
-        for key in (
-            "name", "process", "gate_rate", "offered", "ok",
-            "offered_rate", "achieved_rate", "attainment", "samples",
-        ):
-            if key not in stage:
-                _fail(errors, f"stages[{i}] missing {key!r}")
-        if not isinstance(stage.get("samples", []), list):
-            _fail(errors, f"stages[{i}].samples must be a list")
-
-    ops = payload["ops"]
-    if not isinstance(ops, dict):
-        _fail(errors, "ops must be an object")
-    else:
-        for kind, quantiles in ops.items():
-            if not isinstance(quantiles, dict):
-                _fail(errors, f"ops[{kind!r}] is not an object")
-                continue
-            for key in ("count", "p50_s", "p95_s", "p99_s"):
-                if key not in quantiles:
-                    _fail(errors, f"ops[{kind!r}] missing {key!r}")
-
-    accounting = payload["accounting"]
-    if not isinstance(accounting, dict):
-        _fail(errors, "accounting must be an object")
-    else:
-        categories = (
-            "sent", "ok", "service_error", "timeout", "connection_error", "killed",
-        )
-        for key in categories + ("reconnects", "errors_by_code"):
-            if key not in accounting:
-                _fail(errors, f"accounting missing {key!r}")
-        if all(isinstance(accounting.get(key), int) for key in categories):
-            failed = sum(accounting[key] for key in categories[2:])
-            if accounting["sent"] != accounting["ok"] + failed:
-                _fail(
-                    errors,
-                    "accounting identity violated: sent != ok + "
-                    "service_error + timeout + connection_error + killed",
-                )
-
-    slo = payload["slo"]
-    if not isinstance(slo, dict):
-        _fail(errors, "slo must be an object")
-    else:
-        for key in ("thresholds", "violations", "passed"):
-            if key not in slo:
-                _fail(errors, f"slo missing {key!r}")
-        if not isinstance(slo.get("passed", False), bool):
-            _fail(errors, "slo.passed must be a boolean")
-        if not isinstance(slo.get("violations", []), list):
-            _fail(errors, "slo.violations must be a list")
-        elif "passed" in slo and slo["passed"] != (not slo["violations"]):
-            _fail(errors, "slo.passed must match slo.violations being empty")
-    return errors
+    type: str = "any"
+    required: bool = True
+    nullable: bool = False
+    const: Any = None
+    non_empty: bool = False
+    fields: Optional[Dict[str, "Rule"]] = None
+    values: Optional["Rule"] = None
+    items: Optional["Rule"] = None
 
 
-def ensure_valid_load_report(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Validate *payload*, raising :class:`ManifestError` on problems."""
-    errors = validate_load_report(payload)
-    if errors:
-        raise ManifestError("; ".join(errors))
-    return payload
+def _int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-# ----------------------------------------------------------------------
-# Validation (structural; no external schema library)
-# ----------------------------------------------------------------------
+def _count(value: Any) -> bool:
+    return _int(value) and value >= 0
 
-#: The manifest schema, JSON-Schema-shaped, for documentation and
-#: external validators.  :func:`validate_manifest` enforces the same
-#: constraints natively.
-MANIFEST_SCHEMA: Dict[str, Any] = {
-    "type": "object",
-    "required": [
-        "schema_version", "generator", "plan_hash", "schemes", "seeds",
-        "units", "timings", "metrics", "coverage_over_time",
-    ],
-    "properties": {
-        "schema_version": {"type": "integer", "const": MANIFEST_SCHEMA_VERSION},
-        "generator": {"type": "string"},
-        "plan_hash": {"type": "string", "pattern": "^[0-9a-f]{64}$"},
-        "schemes": {"type": "array", "items": {"type": "string"}, "minItems": 1},
-        "seeds": {"type": "array", "items": {"type": "integer"}, "minItems": 1},
-        "units": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["scheme", "seed", "key", "duration_s", "cached", "result"],
-            },
-        },
-        "timings": {
-            "type": "object",
-            "required": ["total_unit_s", "cached_units", "executed_units", "profile"],
-        },
-        "metrics": {"type": "object"},
-        "coverage_over_time": {"type": "object"},
-    },
+
+_HEX = frozenset("0123456789abcdef")
+
+#: ``type -> (predicate, what the error says the value must be)``.
+_TYPES: Dict[str, Tuple[Callable[[Any], bool], str]] = {
+    "any": (lambda v: True, "anything"),
+    "object": (lambda v: isinstance(v, dict), "an object"),
+    "list": (lambda v: isinstance(v, list), "a list"),
+    "string": (lambda v: isinstance(v, str), "a string"),
+    "bool": (lambda v: isinstance(v, bool), "a boolean"),
+    "int": (_int, "an integer"),
+    "count": (_count, "a non-negative integer"),
+    # NaN fails ``v >= 0``.
+    "duration": (lambda v: (_int(v) or isinstance(v, float)) and v >= 0,
+                 "a non-negative number"),
+    "hex64": (lambda v: isinstance(v, str) and len(v) == 64 and set(v) <= _HEX,
+              "a 64-char lowercase hex sha256"),
 }
 
 
-def _fail(errors: List[str], message: str) -> None:
-    errors.append(message)
+def _obj(fields: Dict[str, Rule], **kwargs: Any) -> Rule:
+    return Rule("object", fields=fields, **kwargs)
 
 
-def validate_manifest(payload: Dict[str, Any]) -> List[str]:
-    """Structurally validate a manifest; returns a list of problems.
+def _keys(*names: str) -> Dict[str, Rule]:
+    """Required keys whose values are not checked further."""
+    return {name: Rule() for name in names}
 
-    An empty list means the manifest is valid.  Raise-style callers can
-    use :func:`ensure_valid_manifest`.
+
+def _walk(value: Any, rule: Rule, path: str, errors: List[str]) -> None:
+    """Append to *errors* every way *value* breaks *rule* (at *path*)."""
+    if value is None and rule.nullable:
+        return
+    accepts, what = _TYPES[rule.type]
+    if not accepts(value):
+        errors.append(f"{path} must be {what}")
+        return
+    if rule.const is not None and value != rule.const:
+        errors.append(f"{path} {value!r} != {rule.const!r}")
+    if rule.non_empty and not value:
+        errors.append(f"{path} must be non-empty")
+    for key, sub in (rule.fields or {}).items():
+        if key in value:
+            _walk(value[key], sub, f"{path}.{key}" if path else key, errors)
+        elif sub.required:
+            errors.append(
+                f"{path} missing {key!r}" if path else f"missing required key {key!r}"
+            )
+    if rule.values is not None:
+        for name, item in value.items():
+            _walk(item, rule.values, f"{path}[{name!r}]", errors)
+    if rule.items is not None:
+        for i, item in enumerate(value):
+            _walk(item, rule.items, f"{path}[{i}]", errors)
+
+
+_RUN_MANIFEST = _obj({
+    "schema_version": Rule(const=MANIFEST_SCHEMA_VERSION),
+    "generator": Rule("string"),
+    "plan_hash": Rule("hex64"),
+    "schemes": Rule("list", non_empty=True, items=Rule("string")),
+    "seeds": Rule("list", non_empty=True, items=Rule("int")),
+    "units": Rule("list", non_empty=True, items=_obj({
+        **_keys("scheme", "seed", "key", "result"),
+        "duration_s": Rule("duration"),
+        "cached": Rule("bool"),
+        "telemetry": _obj(
+            _keys("metrics", "coverage_curve", "buffer_occupancy"),
+            required=False, nullable=True,
+        ),
+    })),
+    "timings": _obj(_keys("total_unit_s", "cached_units", "executed_units")),
+    "metrics": Rule("object", values=_obj(_keys("kind", "samples"))),
+    "coverage_over_time": Rule("object"),
+})
+
+_SERVICE_MANIFEST = _obj({
+    "schema_version": Rule(const=SERVICE_MANIFEST_SCHEMA_VERSION),
+    "kind": Rule(const="service-session"),
+    "generator": Rule("string"),
+    "routing": _obj(_keys("champion", "champion_pct", "challenger_pct", "fallbacks")),
+    "variants": Rule("object", non_empty=True, values=_obj({
+        **_keys("scheme", "requests", "coverage", "latency"),
+        "persistence": _obj({
+            **_keys("wal_dir", "fsync", "snapshot_seq"),
+            "recovery": _obj(
+                _keys("snapshot_seq", "replayed_records", "truncated_bytes", "duration_s"),
+                nullable=True,
+            ),
+        }, required=False, nullable=True),
+    })),
+    "metrics": Rule("object"),
+})
+
+#: The six categories of the load report's accounting identity.
+_ACCOUNTING = ("sent", "ok", "service_error", "timeout", "connection_error", "killed")
+
+_LOAD_REPORT = _obj({
+    "schema_version": Rule(const=LOAD_REPORT_SCHEMA_VERSION),
+    "kind": Rule(const="load-report"),
+    "generated_by": Rule("string"),
+    "plan": _obj(_keys("stages")),
+    "target": _obj(_keys("host", "port")),
+    "wall_duration_s": Rule("duration"),
+    "stages": Rule("list", items=_obj({
+        **_keys("name", "process", "gate_rate", "offered", "ok",
+                "offered_rate", "achieved_rate", "attainment"),
+        "samples": Rule("list"),
+    })),
+    "ops": Rule("object", values=_obj(_keys("count", "p50_s", "p95_s", "p99_s"))),
+    "accounting": _obj({
+        **{key: Rule("count") for key in _ACCOUNTING + ("reconnects",)},
+        "errors_by_code": Rule(),
+    }),
+    "slo": _obj({
+        "thresholds": Rule(),
+        "violations": Rule("list"),
+        "passed": Rule("bool"),
+    }),
+})
+
+
+def _accounting_identity(payload: Dict[str, Any]) -> Optional[str]:
+    acct = payload.get("accounting")
+    if not isinstance(acct, dict) or not all(_count(acct.get(k)) for k in _ACCOUNTING):
+        return None  # the walk has already reported the broken counts
+    if acct["sent"] != sum(acct[key] for key in _ACCOUNTING[1:]):
+        return (
+            "accounting identity violated: sent != ok + "
+            "service_error + timeout + connection_error + killed"
+        )
+    return None
+
+
+def _slo_verdict(payload: Dict[str, Any]) -> Optional[str]:
+    slo = payload.get("slo")
+    if (
+        isinstance(slo, dict)
+        and isinstance(slo.get("passed"), bool)
+        and isinstance(slo.get("violations"), list)
+        and slo["passed"] != (not slo["violations"])
+    ):
+        return "slo.passed must match slo.violations being empty"
+    return None
+
+
+#: ``kind -> (field table, cross-field checks run after the walk)``;
+#: a payload without ``kind`` is an engine-run manifest.
+_SPECS: Dict[Optional[str], Tuple[Rule, Tuple[Callable[..., Optional[str]], ...]]] = {
+    None: (_RUN_MANIFEST, ()),
+    "service-session": (_SERVICE_MANIFEST, ()),
+    "load-report": (_LOAD_REPORT, (_accounting_identity, _slo_verdict)),
+}
+
+
+def validate_manifest(payload: Any) -> List[str]:
+    """Structurally validate a manifest of any kind; returns its problems.
+
+    The ``kind`` key picks the field table: absent for an engine run,
+    ``"service-session"`` or ``"load-report"``.  An empty list means the
+    manifest is valid; raise-style callers use
+    :func:`ensure_valid_manifest`.
     """
-    errors: List[str] = []
     if not isinstance(payload, dict):
         return ["manifest is not a JSON object"]
-    for key in MANIFEST_SCHEMA["required"]:
-        if key not in payload:
-            _fail(errors, f"missing required key {key!r}")
-    if errors:
-        return errors
-
-    if payload["schema_version"] != MANIFEST_SCHEMA_VERSION:
-        _fail(errors, f"schema_version {payload['schema_version']!r} != {MANIFEST_SCHEMA_VERSION}")
-    if not isinstance(payload["generator"], str):
-        _fail(errors, "generator must be a string")
-    ph = payload["plan_hash"]
-    if not (isinstance(ph, str) and len(ph) == 64 and all(c in "0123456789abcdef" for c in ph)):
-        _fail(errors, "plan_hash must be a 64-char lowercase hex sha256")
-    if not (isinstance(payload["schemes"], list) and payload["schemes"]
-            and all(isinstance(s, str) for s in payload["schemes"])):
-        _fail(errors, "schemes must be a non-empty list of strings")
-    if not (isinstance(payload["seeds"], list) and payload["seeds"]
-            and all(isinstance(s, int) for s in payload["seeds"])):
-        _fail(errors, "seeds must be a non-empty list of integers")
-
-    units = payload["units"]
-    if not (isinstance(units, list) and units):
-        _fail(errors, "units must be a non-empty list")
-        units = []
-    for i, unit in enumerate(units):
-        if not isinstance(unit, dict):
-            _fail(errors, f"units[{i}] is not an object")
-            continue
-        for key in ("scheme", "seed", "key", "duration_s", "cached", "result"):
-            if key not in unit:
-                _fail(errors, f"units[{i}] missing {key!r}")
-        if "duration_s" in unit and (
-            not isinstance(unit["duration_s"], (int, float))
-            or isinstance(unit["duration_s"], bool)
-            or unit["duration_s"] < 0
-            or math.isnan(float(unit["duration_s"]))
-        ):
-            _fail(errors, f"units[{i}].duration_s must be a non-negative number")
-        if "cached" in unit and not isinstance(unit["cached"], bool):
-            _fail(errors, f"units[{i}].cached must be a boolean")
-        telemetry = unit.get("telemetry")
-        if telemetry is not None:
-            if not isinstance(telemetry, dict):
-                _fail(errors, f"units[{i}].telemetry must be an object or null")
-            else:
-                for key in ("metrics", "profile", "coverage_curve", "buffer_occupancy"):
-                    if key not in telemetry:
-                        _fail(errors, f"units[{i}].telemetry missing {key!r}")
-
-    timings = payload["timings"]
-    if not isinstance(timings, dict):
-        _fail(errors, "timings must be an object")
-    else:
-        for key in ("total_unit_s", "cached_units", "executed_units", "profile"):
-            if key not in timings:
-                _fail(errors, f"timings missing {key!r}")
-    if not isinstance(payload["metrics"], dict):
-        _fail(errors, "metrics must be an object")
-    else:
-        for name, family in payload["metrics"].items():
-            if not isinstance(family, dict) or "kind" not in family or "samples" not in family:
-                _fail(errors, f"metrics[{name!r}] must carry kind and samples")
-    if not isinstance(payload["coverage_over_time"], dict):
-        _fail(errors, "coverage_over_time must be an object")
+    kind = payload.get("kind")
+    if not isinstance(kind, (str, type(None))) or kind not in _SPECS:
+        return [f"unknown manifest kind {kind!r}"]
+    rule, checks = _SPECS[kind]
+    errors: List[str] = []
+    _walk(payload, rule, "", errors)
+    errors.extend(error for error in (check(payload) for check in checks) if error)
     return errors
 
 
-def ensure_valid_manifest(payload: Dict[str, Any]) -> Dict[str, Any]:
+def ensure_valid_manifest(payload: Any) -> Dict[str, Any]:
     """Validate *payload*, raising :class:`ManifestError` on problems."""
     errors = validate_manifest(payload)
     if errors:
@@ -582,15 +479,5 @@ def write_manifest(path: Union[str, Path], manifest: Dict[str, Any]) -> Path:
 
 
 def load_manifest(path: Union[str, Path]) -> Dict[str, Any]:
-    """Read and structurally validate a manifest from disk.
-
-    Dispatches on the ``kind`` key: service-session and load-report
-    manifests are checked against their own schemas, everything else
-    against the engine-run schema.
-    """
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if isinstance(payload, dict) and payload.get("kind") == "service-session":
-        return ensure_valid_service_manifest(payload)
-    if isinstance(payload, dict) and payload.get("kind") == "load-report":
-        return ensure_valid_load_report(payload)
-    return ensure_valid_manifest(payload)
+    """Read a manifest of any kind from disk and validate it."""
+    return ensure_valid_manifest(json.loads(Path(path).read_text(encoding="utf-8")))

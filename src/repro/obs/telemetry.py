@@ -1,11 +1,11 @@
 """Simulation telemetry: the hook set wired through the DTN substrate.
 
-:class:`SimTelemetry` bundles a :class:`~repro.obs.registry.MetricsRegistry`
-and a :class:`~repro.obs.profiler.Profiler` and exposes one narrow method
-per instrumented event.  The simulator, the routing base, the selection
-and transfer algorithms, and the metadata cache call these hooks -- either
-directly (the simulator holds a reference) or via
-:func:`repro.obs.runtime.active_telemetry` (the pure core functions).
+:class:`SimTelemetry` owns a :class:`~repro.obs.registry.MetricsRegistry`
+and exposes one narrow method per instrumented event.  The simulator, the
+routing base, the selection and transfer algorithms, and the metadata
+cache call these hooks -- either directly (the simulator holds a
+reference) or via :func:`repro.obs.runtime.active_telemetry` (the pure
+core functions).
 
 What it records, mapped to the paper:
 
@@ -18,10 +18,13 @@ What it records, mapped to the paper:
 * per-node buffer occupancy over time (storage pressure),
 * the command center's coverage sampled at every gateway uplink,
 * fault activations (:class:`~repro.dtn.faults.FaultCounters`) folded
-  into the registry at the end of a run.
+  into the registry at the end of a run,
+* wall-clock seconds per phase -- greedy selection, expected-coverage
+  enumeration, and transfer scheduling -- as the timer family
+  ``repro_phase_seconds{phase=...}``.
 
 ``SimTelemetry(enabled=False)`` keeps every hook callable but routes all
-of them to the null registry/profiler -- the configuration the benchmark
+of them to the null registry -- the configuration the benchmark
 uses to price the hook layer itself.
 
 :class:`SimulationObserver` is the shared wiring-point protocol: anything
@@ -34,17 +37,17 @@ are fed from one place.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Protocol,
+    runtime_checkable,
+)
 
-try:  # Protocol is 3.8+; keep a runtime-checkable fallback cheap.
-    from typing import Protocol, runtime_checkable
-except ImportError:  # pragma: no cover - ancient interpreters only
-    Protocol = object  # type: ignore[assignment]
-
-    def runtime_checkable(cls):  # type: ignore[misc]
-        return cls
-
-from .profiler import NULL_PROFILER, Profiler
 from .registry import NULL_REGISTRY, MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -54,7 +57,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["SimulationObserver", "SimTelemetry", "TELEMETRY_SCHEMA_VERSION"]
 
 #: Version of the :meth:`SimTelemetry.snapshot` payload shape.
-TELEMETRY_SCHEMA_VERSION = 1
+TELEMETRY_SCHEMA_VERSION = 2
 
 
 @runtime_checkable
@@ -70,11 +73,11 @@ class SimTelemetry:
 
     Parameters
     ----------
-    registry, profiler:
+    registry:
         Bring your own (e.g. a registry shared across runs) or let the
-        telemetry own fresh ones.
+        telemetry own a fresh one.
     enabled:
-        ``False`` wires every hook to the null registry/profiler: calls
+        ``False`` wires every hook to the null registry: calls
         are made but nothing is recorded.  This is the configuration the
         engine benchmark uses to measure pure hook-dispatch overhead.
     """
@@ -82,16 +85,13 @@ class SimTelemetry:
     def __init__(
         self,
         registry: Optional[MetricsRegistry] = None,
-        profiler: Optional[Profiler] = None,
         enabled: bool = True,
     ) -> None:
         self.enabled = enabled
         if not enabled:
             self.registry: MetricsRegistry = NULL_REGISTRY
-            self.profiler: Profiler = NULL_PROFILER
         else:
             self.registry = registry if registry is not None else MetricsRegistry()
-            self.profiler = profiler if profiler is not None else Profiler()
 
         r = self.registry
         self._contacts = r.counter(
@@ -155,6 +155,13 @@ class SimTelemetry:
             "Selection pool sizes per greedy_select call",
             buckets=(1, 2, 5, 10, 20, 50, 100, 200, 500),
         )
+        phases = r.timer(
+            "repro_phase_seconds",
+            "Wall-clock seconds per phase (selection|expected_coverage|transfer)",
+        )
+        self._selection_time = phases.labels(phase="selection")
+        self._expected_coverage_time = phases.labels(phase="expected_coverage")
+        self._transfer_time = phases.labels(phase="transfer")
 
         #: ``[{time, mean_fraction, max_fraction, used_bytes, nodes}]`` --
         #: storage pressure sampled at every SAMPLE event.
@@ -229,8 +236,8 @@ class SimTelemetry:
         self._selection_selected.inc(selected)
         self._selection_evaluators.labels(strategy=strategy).inc()
         self._selection_pool.observe(pool_size)
-        self.profiler.add("selection", elapsed_s)
-        self.profiler.add("expected_coverage", enumeration_s)
+        self._selection_time.observe(elapsed_s)
+        self._expected_coverage_time.observe(enumeration_s)
 
     def on_transfer_outcome(
         self,
@@ -255,7 +262,7 @@ class SimTelemetry:
         tbytes.labels(fate="truncated").inc(bytes_truncated)
         if truncated:
             self._contacts_truncated.inc()
-        self.profiler.add("transfer", elapsed_s)
+        self._transfer_time.observe(elapsed_s)
 
     def on_cache_event(self, event: str, count: int = 1) -> None:
         if count:
@@ -310,7 +317,6 @@ class SimTelemetry:
             "schema_version": TELEMETRY_SCHEMA_VERSION,
             "scheme": self.scheme,
             "metrics": self.registry.snapshot(),
-            "profile": self.profiler.snapshot(),
             "buffer_occupancy": list(self.buffer_occupancy),
             "coverage_curve": list(self.coverage_curve),
         }

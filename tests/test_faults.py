@@ -335,6 +335,23 @@ class TestCrashRestartMechanics:
         node.restart()
         assert node.alive
 
+    def test_simulation_crash_and_restart_node(self):
+        sim = small_sim(
+            contacts=[(10.0, 1, 2, 5.0)],
+            arrivals=[],
+            fault_plan=FaultPlan(seed=0, crash_rate_per_node_hour=1e-9),
+        )
+        counters = sim.result.fault_counters
+        assert not sim.crash_node(99)  # unknown node
+        assert not sim.restart_node(1)  # already up
+        assert sim.crash_node(1)
+        assert not sim.nodes[1].alive
+        assert not sim.crash_node(1)  # already down: the crash merges
+        assert (counters.crashes, counters.restarts) == (1, 0)
+        assert sim.restart_node(1)
+        assert sim.nodes[1].alive
+        assert (counters.crashes, counters.restarts) == (1, 1)
+
 
 class TestTransferFaultsEndToEnd:
     def test_total_transfer_loss_delivers_nothing(self):

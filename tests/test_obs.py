@@ -29,17 +29,14 @@ from repro.experiments.robustness_study import spec as robustness_spec
 from repro.experiments.runner import run_spec
 from repro.experiments.telemetry_study import run_telemetry_study, telemetry_report
 from repro.obs import (
-    NULL_PROFILER,
     NULL_REGISTRY,
     MetricsRegistry,
-    Profiler,
     SimTelemetry,
     SimulationObserver,
     activated,
     active_telemetry,
     build_manifest,
     load_manifest,
-    merge_profiles,
     registry_from_snapshot,
     validate_manifest,
     write_manifest,
@@ -53,6 +50,14 @@ GOLDEN = Path(__file__).parent / "golden" / "metrics.prom"
 
 def small_spec(seed: int = 0):
     return fig5.spec(scale=SCALE, seed=seed)
+
+
+def phase_counts(metrics):
+    """``{phase: calls}`` from a snapshot's ``repro_phase_seconds`` family."""
+    return {
+        sample["labels"]["phase"]: sample["value"]["count"]
+        for sample in metrics["repro_phase_seconds"]["samples"]
+    }
 
 
 def reference_registry() -> MetricsRegistry:
@@ -239,46 +244,6 @@ class TestNullRegistry:
 
 
 # ----------------------------------------------------------------------
-# Profiler
-# ----------------------------------------------------------------------
-
-
-class TestProfiler:
-    def test_phase_and_decorator_accumulate(self):
-        p = Profiler()
-        with p.phase("select"):
-            pass
-
-        @p.profile("select")
-        def f():
-            return 7
-
-        assert f() == 7
-        p.add("transfer", 0.5)
-        snap = p.snapshot()
-        assert snap["select"]["calls"] == 2
-        assert snap["transfer"] == {
-            "calls": 1, "total_s": 0.5, "min_s": 0.5, "max_s": 0.5,
-        }
-
-    def test_disabled_profiler_records_nothing(self):
-        with NULL_PROFILER.phase("x"):
-            pass
-        NULL_PROFILER.add("x", 1.0)
-        assert NULL_PROFILER.snapshot() == {}
-
-    def test_merge_profiles(self):
-        a = {"sel": {"calls": 2, "total_s": 1.0, "min_s": 0.4, "max_s": 0.6}}
-        b = {"sel": {"calls": 1, "total_s": 0.2, "min_s": 0.2, "max_s": 0.2},
-             "xfer": {"calls": 1, "total_s": 0.1, "min_s": 0.1, "max_s": 0.1}}
-        merged = merge_profiles([a, b])
-        assert merged["sel"] == {
-            "calls": 3, "total_s": 1.2, "min_s": 0.2, "max_s": 0.6,
-        }
-        assert merged["xfer"]["calls"] == 1
-
-
-# ----------------------------------------------------------------------
 # Runtime activation
 # ----------------------------------------------------------------------
 
@@ -316,7 +281,7 @@ class TestTelemetry:
         tel.on_cache_event("hit", 4)
         tel.on_encounter()
         assert tel.snapshot()["metrics"] == {}
-        assert tel.snapshot()["profile"] == {}
+        assert "profile" not in tel.snapshot()
 
     def test_telemetry_never_perturbs_the_simulation(self):
         plain = run_spec(small_spec(), "our-scheme")
@@ -339,7 +304,10 @@ class TestTelemetry:
         assert total("repro_selection_iterations_total") > 0
         assert snap["coverage_curve"], "uplinks must produce coverage points"
         assert snap["buffer_occupancy"], "SAMPLE events must produce occupancy points"
-        assert set(snap["profile"]) == {"selection", "expected_coverage", "transfer"}
+        counts = phase_counts(metrics)
+        assert set(counts) == {"selection", "expected_coverage", "transfer"}
+        assert counts["selection"] == counts["expected_coverage"] > 0
+        assert counts["transfer"] > 0
         assert snap["scheme"] == "our-scheme"
 
     def test_coverage_curve_is_monotone_in_delivered(self):
@@ -424,7 +392,8 @@ class TestEngineTelemetry:
         assert total("repro_transfer_bytes_total") > 0
         assert total("repro_metadata_cache_events_total") > 0
         assert manifest["coverage_over_time"]["our-scheme"]
-        assert manifest["timings"]["profile"]["selection"]["calls"] > 0
+        assert "profile" not in manifest["timings"]
+        assert phase_counts(manifest["metrics"])["selection"] > 0
 
     def test_cached_units_keep_their_telemetry(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -463,15 +432,23 @@ class TestManifest:
         assert plan_hash(["a", "b"]) == plan_hash(iter(["a", "b"]))
 
     def test_merge_metric_snapshots_sums_counters_averages_gauges(self):
-        snap = lambda c, g: {
+        snap = lambda c, g, t: {
             "hits": {"kind": "counter", "help": "", "samples": [
                 {"labels": {}, "value": c}]},
             "depth": {"kind": "gauge", "help": "", "samples": [
                 {"labels": {}, "value": g}]},
+            "phase": {"kind": "timer", "help": "", "samples": [
+                {"labels": {"phase": "sel"}, "value": t}]},
         }
-        merged = merge_metric_snapshots([snap(2, 10), snap(3, 20)])
+        merged = merge_metric_snapshots([
+            snap(2, 10, {"count": 2, "sum": 1.0, "min": 0.4, "max": 0.6}),
+            snap(3, 20, {"count": 1, "sum": 0.25, "min": 0.25, "max": 0.25}),
+        ])
         assert merged["hits"]["samples"][0]["value"] == 5
         assert merged["depth"]["samples"][0]["value"] == 15
+        assert merged["phase"]["samples"][0]["value"] == {
+            "count": 3, "sum": 1.25, "min": 0.25, "max": 0.6,
+        }
 
     def test_validate_rejects_structural_damage(self, tmp_path):
         engine = ExperimentEngine(telemetry=True)
