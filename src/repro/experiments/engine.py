@@ -16,8 +16,9 @@ average the sample series".  This module makes that explicit and fast:
   see identical scenarios whether units run serially or on different
   worker processes.
 * :class:`ResultCache` -- a content-addressed on-disk store (one JSON file
-  per unit key, via the :mod:`~repro.experiments.persistence` converters)
-  so interrupted or repeated sweeps resume incrementally.
+  per unit key, via the :mod:`~repro.experiments.persistence` converters,
+  in one directory per cache schema version) so interrupted or repeated
+  sweeps resume incrementally.
 * :class:`ExperimentEngine` -- executes a plan, fanning cache misses out
   over a :class:`~concurrent.futures.ProcessPoolExecutor` (``workers=1``
   stays in-process), and merges outcomes back **in plan order**, so
@@ -33,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, replace
@@ -58,7 +60,8 @@ __all__ = [
 ]
 
 #: Bumped whenever the unit hash inputs or cached payload change shape;
-#: part of every key, so stale cache entries simply never match.
+#: part of every key, so stale cache entries simply never match, and the
+#: name of the directory entries live in (``v3/``), so they can be pruned.
 #: v2: units carry a ``telemetry`` flag and telemetry-enabled entries
 #: store the telemetry snapshot beside the result.
 #: v3: telemetry snapshots carry the phase timers in ``metrics``
@@ -199,19 +202,47 @@ class UnitProgress:
 ProgressCallback = Callable[[UnitProgress], None]
 
 
+#: What a cache entry's file (or a killed writer's temp file) is named.
+_ENTRY_NAME = re.compile(r"\.?[0-9a-f]{64}\.json(\.\d+\.tmp)?")
+
+
 class ResultCache:
     """Content-addressed on-disk store of finished run units.
 
-    One JSON file per unit key; writes are atomic (write-to-temp then
-    :func:`os.replace`) so a killed sweep never leaves a torn entry, and
-    unreadable entries degrade to cache misses.
+    One JSON file per unit key, under ``<directory>/v<CACHE_SCHEMA_VERSION>/``;
+    writes are atomic (write-to-temp then :func:`os.replace`) so a killed
+    sweep never leaves a torn entry, and unreadable entries degrade to
+    cache misses.  The first write of a cache deletes the ``v<N>``
+    directories of other schema versions, whose keys can never match.
     """
 
     def __init__(self, directory: os.PathLike) -> None:
         self.directory = Path(directory)
+        self.entries = self.directory / f"v{CACHE_SCHEMA_VERSION}"
+        self._pruned = False
 
     def path_for(self, unit: RunUnit) -> Path:
-        return self.directory / f"{unit.key()}.json"
+        return self.entries / f"{unit.key()}.json"
+
+    def _prune_other_versions(self) -> None:
+        """Delete sibling ``v<N>`` directories that hold only cache entries.
+
+        Anything else -- flat ``*.json`` entries of the old layout, or a
+        ``v<N>`` directory holding a file a cache never writes -- is left
+        alone, because the cache directory may be any directory.
+        """
+        self._pruned = True
+        for stale in self.directory.glob("v*"):
+            if stale == self.entries or not re.fullmatch(r"v\d+", stale.name):
+                continue
+            try:
+                files = list(stale.iterdir())
+                if all(_ENTRY_NAME.fullmatch(f.name) and f.is_file() for f in files):
+                    for f in files:
+                        f.unlink()
+                    stale.rmdir()
+            except OSError:
+                pass  # a concurrent writer got there first, or no permission
 
     def get(self, unit: RunUnit) -> Optional[SimulationResult]:
         payload = self.get_payload(unit)
@@ -239,7 +270,9 @@ class ResultCache:
         duration_s: float,
         telemetry: Optional[Dict[str, Any]] = None,
     ) -> None:
-        self.directory.mkdir(parents=True, exist_ok=True)
+        if not self._pruned:
+            self._prune_other_versions()
+        self.entries.mkdir(parents=True, exist_ok=True)
         path = self.path_for(unit)
         payload = {
             "unit": {"scheme": unit.scheme, "spec": asdict(unit.spec)},

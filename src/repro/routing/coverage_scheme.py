@@ -24,7 +24,7 @@ command center itself during uplinks).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Tuple
 
 from ..core.expected_coverage import NodeProfile, build_node_profile
 from ..core.metadata import Photo
@@ -87,21 +87,17 @@ class CoverageSelectionScheme(RoutingScheme):
         if node.storage.fits(photo):
             node.storage.add(photo)
             return
-        incidences = len(self.sim.incidences(photo))
-        victim = self._least_useful(node)
+        victim = node.storage.least(self._eviction_key)
         if victim is None:
             return
-        victim_incidences = len(self.sim.incidences(victim))
-        if incidences > victim_incidences:
+        if len(self.sim.incidences(photo)) > len(self.sim.incidences(victim)):
             node.storage.remove(victim.photo_id)
             if node.storage.fits(photo):
                 node.storage.add(photo)
 
-    def _least_useful(self, node: DTNNode) -> Optional[Photo]:
-        photos = node.storage.photos()
-        if not photos:
-            return None
-        return min(photos, key=lambda p: (len(self.sim.incidences(p)), -p.photo_id))
+    def _eviction_key(self, photo: Photo) -> Tuple[int, int]:
+        """Least useful first: fewest PoI incidences, then the newest photo."""
+        return len(self.sim.incidences(photo)), -photo.photo_id
 
     # ------------------------------------------------------------------
     # Node-node contacts

@@ -11,7 +11,7 @@ precise limitation the paper's expected-coverage selection removes.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 from ..core.metadata import Photo
 from .base import individual_coverage
@@ -61,14 +61,16 @@ class ModifiedSprayScheme(SprayAndWaitScheme):
         """
         incoming_value = individual_coverage(self.sim, incoming)
         while not node.storage.fits(incoming):
-            photos = node.storage.photos()
-            if not photos:
+            victim = node.storage.least(self._eviction_key)
+            if victim is None:
                 return False
-            victim = min(
-                photos, key=lambda p: (individual_coverage(self.sim, p), -p.photo_id)
-            )
             if individual_coverage(self.sim, victim) >= incoming_value:
                 return False
             node.storage.remove(victim.photo_id)
             self._copies(node).pop(victim.photo_id, None)
         return True
+
+    def _eviction_key(self, photo: Photo) -> Tuple[float, float, int]:
+        """Least individual coverage first, then the newest photo."""
+        value = individual_coverage(self.sim, photo)
+        return value.point, value.aspect, -photo.photo_id

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import pickle
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.metadata import Photo
 from repro.dtn.events import Event, EventKind, EventQueue
@@ -128,6 +133,113 @@ class TestNodeStorage:
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
             NodeStorage(-1)
+
+
+#: A pool of photos for the eviction-order tests, with a rank per photo
+#: that ties often; every key ends in ``-photo_id``, as the schemes' do.
+POOL = [make_photo(0, 0, 0) for _ in range(10)]
+RANKS = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3]
+KEYS = (
+    lambda photo: (RANKS[POOL.index(photo)], -photo.photo_id),
+    lambda photo: (-RANKS[POOL.index(photo)], -photo.photo_id),
+)
+
+storage_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.integers(0, len(POOL) - 1)),
+        st.tuples(st.just("remove"), st.integers(0, len(POOL) - 1)),
+        st.tuples(st.just("replace_all"), st.sets(st.integers(0, len(POOL) - 1))),
+        st.tuples(st.just("least"), st.integers(0, len(KEYS) - 1)),
+    ),
+    max_size=60,
+)
+
+
+def _expected_least(storage, key):
+    photos = storage.photos()
+    return min(photos, key=key) if photos else None
+
+
+class TestEvictionOrder:
+    @settings(max_examples=300)
+    @given(storage_ops)
+    def test_least_equals_min_scan(self, ops):
+        storage = NodeStorage(None)
+        for op, arg in ops:
+            if op == "add":
+                storage.add(POOL[arg])
+            elif op == "remove":
+                storage.remove(POOL[arg].photo_id)
+            elif op == "replace_all":
+                storage.replace_all(POOL[i] for i in sorted(arg))
+            else:
+                assert storage.least(KEYS[arg]) is _expected_least(storage, KEYS[arg])
+            # Peeking after every step keeps the heap alive across the
+            # adds and removes, so stale and re-added entries are met.
+            assert storage.least(KEYS[0]) is _expected_least(storage, KEYS[0])
+
+    def test_empty_storage_has_no_least(self):
+        storage = NodeStorage(None)
+        assert storage.least(KEYS[0]) is None
+        storage.add(POOL[0])
+        storage.remove(POOL[0].photo_id)
+        assert storage.least(KEYS[0]) is None
+
+    def test_heap_stays_bounded_over_a_flood(self):
+        """A 12-photo buffer under a long stream of creations, each of
+        which evicts the least photo when it ranks higher, while contacts
+        hand off stored photos from anywhere in the order."""
+        rng = random.Random(7)
+        rank = {}
+
+        def key(photo):
+            return rank[photo.photo_id], -photo.photo_id
+
+        storage = NodeStorage(12 * 4 * MB)
+        for _ in range(3000):
+            if len(storage) and rng.random() < 0.3:
+                storage.remove(rng.choice(storage.photo_ids()))
+            photo = make_photo(0, 0, 0, size_bytes=4 * MB)
+            rank[photo.photo_id] = rng.randrange(5)
+            if not storage.fits(photo):
+                victim = storage.least(key)
+                assert victim is _expected_least(storage, key)
+                if key(photo) <= key(victim):
+                    continue
+                storage.remove(victim.photo_id)
+            storage.add(photo)
+            assert len(storage._heap or ()) <= 2 * len(storage) + 1
+
+    def test_unpickles_parent_shaped_state(self, monkeypatch):
+        """A snapshot pickled before the eviction order existed holds only
+        the three original attributes; it must load and evict correctly."""
+        old = NodeStorage.__new__(NodeStorage)
+        old.__dict__.update(
+            capacity_bytes=4 * 4 * MB,
+            _photos={photo.photo_id: photo for photo in POOL[:4]},
+            _used=4 * 4 * MB,
+        )
+        with monkeypatch.context() as patch:
+            # Pickle the way the class did without __getstate__.
+            patch.delattr(NodeStorage, "__getstate__")
+            data = pickle.dumps(old)
+
+        storage = pickle.loads(data)
+        assert storage.least(KEYS[0]).photo_id == _expected_least(storage, KEYS[0]).photo_id
+        storage.remove(storage.least(KEYS[0]).photo_id)
+        storage.add(POOL[5])
+        assert storage.least(KEYS[0]).photo_id == _expected_least(storage, KEYS[0]).photo_id
+        assert storage.used_bytes == 4 * 4 * MB
+
+    def test_pickle_excludes_the_heap(self):
+        storage = NodeStorage(None)
+        for photo in POOL[:5]:
+            storage.add(photo)
+        before = pickle.dumps(storage)
+        storage.least(KEYS[0])
+        assert pickle.dumps(storage) == before
+        restored = pickle.loads(before)
+        assert restored.least(KEYS[1]).photo_id == _expected_least(storage, KEYS[1]).photo_id
 
 
 class TestDTNNode:

@@ -17,6 +17,7 @@ from repro.dtn.simulator import SimulationConfig
 from repro.experiments import fig5
 from repro.experiments.config import ScenarioSpec
 from repro.experiments.engine import (
+    CACHE_SCHEMA_VERSION,
     ExperimentEngine,
     ResultCache,
     RunPlan,
@@ -172,6 +173,31 @@ class TestResultCache:
         ExperimentEngine(workers=3, cache=cache).run(plan)
         followup = ExperimentEngine(workers=1, cache=cache).run(plan)
         assert all(o.cached for o in followup)
+
+    def test_first_write_prunes_other_schema_versions(self, tmp_path):
+        old = tmp_path / "v1"
+        old.mkdir()
+        (old / f"{'a' * 64}.json").write_text("{}", encoding="utf-8")
+        (old / f".{'b' * 64}.json.123.tmp").write_text("{", encoding="utf-8")
+        foreign = tmp_path / "v7"  # not cache-shaped: someone else's files
+        foreign.mkdir()
+        (foreign / "notes.txt").write_text("keep", encoding="utf-8")
+        legacy = tmp_path / f"{'c' * 64}.json"  # the old flat layout
+        legacy.write_text("{}", encoding="utf-8")
+
+        cache = ResultCache(tmp_path)
+        unit = RunUnit(spec=small_spec(), scheme="direct")
+        ExperimentEngine(workers=1, cache=cache).run(RunPlan((unit,)))
+
+        assert not old.exists()
+        assert cache.path_for(unit).parent == cache.entries
+        assert cache.entries.name == f"v{CACHE_SCHEMA_VERSION}"
+        assert cache.get(unit) is not None
+        assert (foreign / "notes.txt").exists()
+        assert legacy.exists()
+        # A later cache on the same directory keeps the current entries.
+        ResultCache(tmp_path).put(RunUnit(spec=small_spec(1), scheme="direct"), {}, 0.0)
+        assert cache.get(unit) is not None
 
 
 # ----------------------------------------------------------------------
