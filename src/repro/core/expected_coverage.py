@@ -433,19 +433,22 @@ class SelectionEvaluator:
             self._profiles[poi_id] = profile
         return profile
 
-    def gain_of(self, photo: Photo) -> CoverageValue:
-        """Marginal expected-coverage gain of adding *photo* to the free node.
+    def gain_terms(self, photo: Photo) -> Tuple[float, float]:
+        """Marginal expected-coverage gain of adding *photo* to the free node,
+        as raw ``(point, aspect)`` floats.
 
         Non-increasing as the tentative selection grows (the point and
         aspect components are both submodular in the selection), which is
         what licenses the lazy-greedy strategy in
-        :func:`repro.core.selection.greedy_select`.
+        :func:`repro.core.selection.greedy_select`.  Tuple order on the
+        pair is exactly :class:`CoverageValue`'s lexicographic order, so
+        the selection loop compares the floats without wrapping them.
         """
         if self.free_probability <= 0.0:
-            return CoverageValue.ZERO
+            return 0.0, 0.0
         point_ids, arcs = self.index.incidence_arcs(photo)
         if not point_ids:
-            return CoverageValue.ZERO
+            return 0.0, 0.0
         point_gain = 0.0
         for poi_id in point_ids:
             if poi_id not in self._selected_pois:
@@ -462,11 +465,18 @@ class SelectionEvaluator:
             if integral > 0.0:
                 aspect_gain += profile.weight * integral
         p = self.free_probability
-        return CoverageValue(point_gain * p, aspect_gain * p)
+        return point_gain * p, aspect_gain * p
 
-    def add(self, photo: Photo) -> CoverageValue:
-        """Commit *photo* to the free node's tentative selection."""
-        gain = self.gain_of(photo)
+    def gain_of(self, photo: Photo) -> CoverageValue:
+        """:meth:`gain_terms` as a :class:`CoverageValue`."""
+        return CoverageValue(*self.gain_terms(photo))
+
+    def add(self, photo: Photo) -> None:
+        """Commit *photo* to the free node's tentative selection.
+
+        Only records the photo's PoIs and arcs; the caller already knows
+        the gain it committed.
+        """
         point_ids, arcs = self.index.incidence_arcs(photo)
         self._selected_pois.update(point_ids)
         for poi_id, segments in arcs:
@@ -476,7 +486,6 @@ class SelectionEvaluator:
                 self._selected_arcs[poi_id] = arcset
             for lo, hi in segments:
                 arcset.add_segment(lo, hi)
-        return gain
 
     def selection_profile(self, node_id: int, photos: Iterable[Photo]) -> NodeProfile:
         """Package the final selection as a :class:`NodeProfile` so it can be

@@ -42,6 +42,10 @@ __all__ = [
     "greedy_select_reference",
 ]
 
+#: ``CoverageValue.ZERO`` as a tuple: ``(point, aspect) > _ZERO`` is
+#: :meth:`CoverageValue.is_positive` on raw gain floats.
+_ZERO = (0.0, 0.0)
+
 
 @dataclass(frozen=True)
 class StorageSpec:
@@ -133,18 +137,21 @@ def greedy_select(
     iterations = 0
 
     # Lazy greedy: gains are submodular (they only shrink as the selection
-    # grows -- see SelectionEvaluator.gain_of), so a max-heap of possibly
-    # stale gains is exact: when the top entry's gain is fresh it is the
-    # true argmax.  Heap keys order by lexicographic gain (descending),
-    # then smaller photo, then smaller id for determinism.
+    # grows -- see SelectionEvaluator.gain_terms), so a max-heap of
+    # possibly stale gains is exact: when the top entry's gain is fresh it
+    # is the true argmax.  Heap keys order by lexicographic gain
+    # (descending), then smaller photo, then smaller id for determinism.
+    # Gains stay raw (point, aspect) floats: tuple order is
+    # CoverageValue's order, and only a committed gain is wrapped.
+    gain_terms = evaluator.gain_terms
     heap: List[Tuple[float, float, int, int, Photo]] = []
     gain_evaluations += len(pool)
     for photo in pool:
-        gain = evaluator.gain_of(photo)
-        if require_positive_gain and not gain.is_positive():
+        point, aspect = gain_terms(photo)
+        if require_positive_gain and not (point, aspect) > _ZERO:
             # Submodularity: a photo with no gain now never gains later.
             continue
-        heap.append((-gain.point, -gain.aspect, photo.size_bytes, photo.photo_id, photo))
+        heap.append((-point, -aspect, photo.size_bytes, photo.photo_id, photo))
     heapq.heapify(heap)
     # The initial pool scan is the expected-coverage enumeration phase.
     enumeration_s = (perf_counter() - started) if telemetry is not None else 0.0
@@ -158,24 +165,24 @@ def greedy_select(
         if budget is not None and size > budget:
             continue  # the budget only shrinks; this photo is out for good
         if freshness[photo_id] == version:
-            gain = CoverageValue(-neg_point, -neg_aspect)
-            if require_positive_gain and not gain.is_positive():
+            point, aspect = -neg_point, -neg_aspect
+            if require_positive_gain and not (point, aspect) > _ZERO:
                 break
             evaluator.add(photo)
             selection.photos.append(photo)
-            selection.gains.append(gain)
+            selection.gains.append(CoverageValue(point, aspect))
             version += 1
             if budget is not None:
                 budget -= size
                 if budget <= 0:
                     break
         else:
-            gain = evaluator.gain_of(photo)
+            point, aspect = gain_terms(photo)
             gain_evaluations += 1
             freshness[photo_id] = version
-            if require_positive_gain and not gain.is_positive():
+            if require_positive_gain and not (point, aspect) > _ZERO:
                 continue
-            heapq.heappush(heap, (-gain.point, -gain.aspect, size, photo_id, photo))
+            heapq.heappush(heap, (-point, -aspect, size, photo_id, photo))
 
     if telemetry is not None:
         telemetry.on_selection(
@@ -230,18 +237,18 @@ def greedy_select_reference(
         for photo in remaining:
             if budget is not None and photo.size_bytes > budget:
                 continue
-            gain = evaluator.gain_of(photo)
+            point, aspect = evaluator.gain_terms(photo)
             gain_evaluations += 1
-            key = (-gain.point, -gain.aspect, photo.size_bytes, photo.photo_id)
+            key = (-point, -aspect, photo.size_bytes, photo.photo_id)
             if best is None or key < best[0]:
-                best = (key, photo, gain)
+                best = (key, photo, point, aspect)
         if best is None:
             break
-        _, photo, gain = best
-        if require_positive_gain and not gain.is_positive():
+        _, photo, point, aspect = best
+        if require_positive_gain and not (point, aspect) > _ZERO:
             break
         selection.photos.append(photo)
-        selection.gains.append(gain)
+        selection.gains.append(CoverageValue(point, aspect))
         remaining.remove(photo)
         if budget is not None:
             budget -= photo.size_bytes

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..obs.runtime import active_telemetry
 from .metadata import Photo
@@ -127,6 +127,10 @@ def execute_transfer_plan(
     collections: Dict[int, List[Photo]] = {
         node_id: list(photos) for node_id, photos in holdings.items()
     }
+    # Running byte total of each collection, kept on append and eviction.
+    used: Dict[int, int] = {
+        node_id: sum(p.size_bytes for p in photos) for node_id, photos in collections.items()
+    }
     target_ids = {
         result.first.node_id: result.first.photo_ids(),
         result.second.node_id: result.second.photo_ids(),
@@ -146,8 +150,12 @@ def execute_transfer_plan(
             break
         receiver = transfer.receiver_id
         capacity = capacities.get(receiver)
-        if capacity is not None:
-            if not _make_room(collections[receiver], target_ids[receiver], capacity, size):
+        if capacity is not None and used[receiver] + size > capacity:
+            collection, used[receiver] = _make_room(
+                collections[receiver], used[receiver], target_ids[receiver], capacity - size
+            )
+            collections[receiver] = collection
+            if used[receiver] + size > capacity:
                 # Could not make room without evicting a target photo; skip.
                 skipped_no_room += 1
                 continue
@@ -157,6 +165,7 @@ def execute_transfer_plan(
             bytes_used += size
             continue
         collections[receiver].append(transfer.photo)
+        used[receiver] += size
         completed.append(transfer)
         bytes_used += size
 
@@ -193,20 +202,27 @@ def execute_transfer_plan(
 
 def _make_room(
     collection: List[Photo],
+    used: int,
     target_ids: Set[int],
-    capacity: int,
-    incoming_size: int,
-) -> bool:
-    """Evict non-target photos until *incoming_size* fits; False if impossible."""
-    used = sum(p.size_bytes for p in collection)
-    if used + incoming_size <= capacity:
-        return True
+    limit: int,
+) -> Tuple[List[Photo], int]:
+    """Evict non-target photos, highest id first, until at most *limit*
+    bytes are used; returns the remaining collection and its byte total.
+
+    Victims are chosen before anything is removed, then dropped in one
+    pass by id (photo ids are unique within a collection).  When even
+    evicting every non-target photo is not enough, they are all evicted
+    and the total stays above *limit*.
+    """
     evictable = sorted(
         (p for p in collection if p.photo_id not in target_ids),
         key=lambda p: p.photo_id,
     )
-    while evictable and used + incoming_size > capacity:
+    victims = set()
+    while evictable and used > limit:
         victim = evictable.pop()
-        collection.remove(victim)
+        victims.add(victim.photo_id)
         used -= victim.size_bytes
-    return used + incoming_size <= capacity
+    if victims:
+        collection = [p for p in collection if p.photo_id not in victims]
+    return collection, used

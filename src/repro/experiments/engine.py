@@ -60,8 +60,9 @@ __all__ = [
 ]
 
 #: Bumped whenever the unit hash inputs or cached payload change shape;
-#: part of every key, so stale cache entries simply never match, and the
-#: name of the directory entries live in (``v3/``), so they can be pruned.
+#: part of every key, so stale cache entries simply never match, and part
+#: of the name of the directory entries live in (``v3-1.0.0/``, with the
+#: package version), so they can be pruned.
 #: v2: units carry a ``telemetry`` flag and telemetry-enabled entries
 #: store the telemetry snapshot beside the result.
 #: v3: telemetry snapshots carry the phase timers in ``metrics``
@@ -204,36 +205,48 @@ ProgressCallback = Callable[[UnitProgress], None]
 
 #: What a cache entry's file (or a killed writer's temp file) is named.
 _ENTRY_NAME = re.compile(r"\.?[0-9a-f]{64}\.json(\.\d+\.tmp)?")
+#: What an entry directory is named: ``v<schema>`` (before the package
+#: version was part of the name) or ``v<schema>-<package version>``.
+_VERSION_DIR = re.compile(r"v\d+(-[A-Za-z0-9._+-]*)?")
+
+
+def _entries_dir_name() -> str:
+    """``v<CACHE_SCHEMA_VERSION>-<package version>``, the two versions every
+    key hashes, with characters unsafe in a file name replaced by ``_``."""
+    version = re.sub(r"[^A-Za-z0-9._+-]", "_", _package_version())
+    return f"v{CACHE_SCHEMA_VERSION}-{version}"
 
 
 class ResultCache:
     """Content-addressed on-disk store of finished run units.
 
-    One JSON file per unit key, under ``<directory>/v<CACHE_SCHEMA_VERSION>/``;
-    writes are atomic (write-to-temp then :func:`os.replace`) so a killed
-    sweep never leaves a torn entry, and unreadable entries degrade to
-    cache misses.  The first write of a cache deletes the ``v<N>``
-    directories of other schema versions, whose keys can never match.
+    One JSON file per unit key, under
+    ``<directory>/v<CACHE_SCHEMA_VERSION>-<package version>/``; writes are
+    atomic (write-to-temp then :func:`os.replace`) so a killed sweep never
+    leaves a torn entry, and unreadable entries degrade to cache misses.
+    The first write of a cache deletes the entry directories of other
+    schema or package versions, whose keys can never match.
     """
 
     def __init__(self, directory: os.PathLike) -> None:
         self.directory = Path(directory)
-        self.entries = self.directory / f"v{CACHE_SCHEMA_VERSION}"
+        self.entries = self.directory / _entries_dir_name()
         self._pruned = False
 
     def path_for(self, unit: RunUnit) -> Path:
         return self.entries / f"{unit.key()}.json"
 
     def _prune_other_versions(self) -> None:
-        """Delete sibling ``v<N>`` directories that hold only cache entries.
+        """Delete sibling ``v<N>`` and ``v<N>-<version>`` directories that
+        hold only cache entries.
 
         Anything else -- flat ``*.json`` entries of the old layout, or a
-        ``v<N>`` directory holding a file a cache never writes -- is left
+        version directory holding a file a cache never writes -- is left
         alone, because the cache directory may be any directory.
         """
         self._pruned = True
         for stale in self.directory.glob("v*"):
-            if stale == self.entries or not re.fullmatch(r"v\d+", stale.name):
+            if stale == self.entries or not _VERSION_DIR.fullmatch(stale.name):
                 continue
             try:
                 files = list(stale.iterdir())

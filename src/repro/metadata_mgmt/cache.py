@@ -17,13 +17,15 @@ valid (the paper states this explicitly).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
 
 from ..core.metadata import Photo
 from ..obs.runtime import active_telemetry
 from .intercontact import DEFAULT_VALIDITY_THRESHOLD, metadata_is_valid
 
 __all__ = ["CacheEntry", "MetadataCache"]
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -57,6 +59,31 @@ class CacheEntry:
         """Eq. 1 validity check at time *now*."""
         elapsed = max(0.0, now - self.snapshot_time)
         return metadata_is_valid(self.aggregate_rate, elapsed, threshold)
+
+    def memoized(self, key: object, build: Callable[[], T]) -> T:
+        """``build()``, computed once per *key* for this entry.
+
+        The entry is immutable, so a value derived from it alone stays
+        valid for as long as the entry lives.  The memo is stored on the
+        entry, so it is freed together with the entry when the last
+        cache drops it.  It keeps one value: a call whose *key* is not
+        ``==`` the stored one rebuilds and replaces it.  The memo is not
+        part of equality, and :meth:`__getstate__` leaves it out of
+        pickles.
+        """
+        memo = self.__dict__.get("_memo")
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        value = build()
+        object.__setattr__(self, "_memo", (key, value))
+        return value
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # A pickled entry has exactly its five fields, memoized or not.
+        state = self.__dict__
+        if "_memo" in state:
+            state = {name: value for name, value in state.items() if name != "_memo"}
+        return state
 
     def degraded(self, photos: Tuple[Photo, ...], age_s: float = 0.0) -> "CacheEntry":
         """A corrupted copy of this entry: fewer photos, an older timestamp.

@@ -173,15 +173,29 @@ class CoverageSelectionScheme(RoutingScheme):
                 existing = entries.get(entry.node_id)
                 if existing is None or entry.snapshot_time > existing.snapshot_time:
                     entries[entry.node_id] = entry
-        profiles = []
-        for entry in sorted(entries.values(), key=lambda e: e.node_id):
-            probability = 1.0 if entry.node_id == self.sim.config.command_center_id else (
-                entry.delivery_probability
+        center_id = self.sim.config.command_center_id
+        return [
+            self._entry_profile(
+                entry, 1.0 if entry.node_id == center_id else entry.delivery_probability
             )
-            profiles.append(
-                build_node_profile(self.sim.index, entry.node_id, entry.photos, probability)
-            )
-        return profiles
+            for entry in sorted(entries.values(), key=lambda e: e.node_id)
+        ]
+
+    def _entry_profile(self, entry: CacheEntry, probability: float) -> NodeProfile:
+        """The background profile of a cached entry, built once per entry.
+
+        Entries are immutable and every contact that reads one builds the
+        same profile from it, so the profile is memoized on the entry
+        itself (:meth:`CacheEntry.memoized`) and dies with it.  Sharing
+        one profile across contacts is safe because nothing mutates a
+        ``NodeProfile`` after ``build_node_profile`` returns it: the
+        selection evaluator and the expected-coverage sweep only read it.
+        """
+        index = self.sim.index
+        return entry.memoized(
+            (index, probability),
+            lambda: build_node_profile(index, entry.node_id, entry.photos, probability),
+        )
 
     # ------------------------------------------------------------------
     # Gateway uplinks
@@ -201,11 +215,7 @@ class CoverageSelectionScheme(RoutingScheme):
             for entry in node.cache.valid_entries(
                 now, exclude={node.node_id, center.node_id}
             ):
-                background.append(
-                    build_node_profile(
-                        self.sim.index, entry.node_id, entry.photos, entry.delivery_probability
-                    )
-                )
+                background.append(self._entry_profile(entry, entry.delivery_probability))
 
         # The command center selects, with probability 1, the photos that
         # still add coverage; its own archive is background so already
@@ -229,8 +239,9 @@ class CoverageSelectionScheme(RoutingScheme):
             delivered.append(photo)
 
         # Acknowledgment: the node re-selects its collection against the
-        # command center's updated archive, dropping redundant photos.
-        ack_profile = build_node_profile(
+        # command center's updated archive, dropping redundant photos.  An
+        # uplink that delivered nothing left the archive as it was.
+        ack_profile = center_profile if not delivered else build_node_profile(
             self.sim.index, center.node_id, center.storage.photos(), 1.0
         )
         node_background = [ack_profile] + background[1:]

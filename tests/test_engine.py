@@ -12,9 +12,10 @@ from dataclasses import replace
 
 import pytest
 
+import repro
 from repro.dtn.faults import FaultPlan
 from repro.dtn.simulator import SimulationConfig
-from repro.experiments import fig5
+from repro.experiments import engine, fig5
 from repro.experiments.config import ScenarioSpec
 from repro.experiments.engine import (
     CACHE_SCHEMA_VERSION,
@@ -191,13 +192,29 @@ class TestResultCache:
 
         assert not old.exists()
         assert cache.path_for(unit).parent == cache.entries
-        assert cache.entries.name == f"v{CACHE_SCHEMA_VERSION}"
+        assert cache.entries.name == f"v{CACHE_SCHEMA_VERSION}-{repro.__version__}"
         assert cache.get(unit) is not None
         assert (foreign / "notes.txt").exists()
         assert legacy.exists()
         # A later cache on the same directory keeps the current entries.
         ResultCache(tmp_path).put(RunUnit(spec=small_spec(1), scheme="direct"), {}, 0.0)
         assert cache.get(unit) is not None
+
+    def test_package_version_bump_prunes_unreachable_entries(self, tmp_path, monkeypatch):
+        unit = RunUnit(spec=small_spec(), scheme="direct")
+        old = ResultCache(tmp_path)
+        ExperimentEngine(workers=1, cache=old).run(RunPlan((unit,)))
+        assert len(list(old.entries.iterdir())) == 1
+
+        monkeypatch.setattr(engine, "_package_version", lambda: "9.9.9+local/build")
+        new = ResultCache(tmp_path)
+        outcomes = ExperimentEngine(workers=1, cache=new).run(RunPlan((unit,)))
+
+        assert not outcomes[0].cached  # the key hashes the package version
+        assert not old.entries.exists()
+        assert new.entries.name == f"v{CACHE_SCHEMA_VERSION}-9.9.9+local_build"
+        assert [p.name for p in tmp_path.iterdir()] == [new.entries.name]
+        assert [p.name for p in new.entries.iterdir()] == [new.path_for(unit).name]
 
 
 # ----------------------------------------------------------------------

@@ -17,11 +17,13 @@ import random
 import pytest
 
 from repro.core.coverage_index import CoverageIndex
-from repro.core.expected_coverage import build_node_profile
+from repro.core.expected_coverage import SelectionEvaluator, build_node_profile
 from repro.core.geometry import Point
 from repro.core.poi import PoIList
 from repro.core.selection import StorageSpec, greedy_select, greedy_select_reference
 from repro.dtn.faults import FaultInjector, FaultPlan
+from repro.experiments.config import ScenarioSpec
+from repro.experiments.runner import run_scenario
 from repro.obs import SimTelemetry
 from repro.obs.runtime import activated
 
@@ -103,6 +105,47 @@ def test_telemetry_does_not_change_selection():
     }
     gain_evals = snapshot["repro_selection_gain_evaluations_total"]["samples"]
     assert gain_evals[0]["value"] > 0
+
+
+def _counted_gains(monkeypatch):
+    """Counts every gain the evaluator computes (``gain_of`` included)."""
+    calls = []
+    gain_terms = SelectionEvaluator.gain_terms
+
+    def counting(evaluator, photo):
+        calls.append(photo.photo_id)
+        return gain_terms(evaluator, photo)
+
+    monkeypatch.setattr(SelectionEvaluator, "gain_terms", counting)
+    return calls
+
+
+def _telemetry_gain_evaluations(telemetry):
+    samples = telemetry.registry.snapshot()["repro_selection_gain_evaluations_total"]["samples"]
+    return sum(sample["value"] for sample in samples)
+
+
+@pytest.mark.parametrize("select", [greedy_select, greedy_select_reference])
+def test_gain_evaluations_count_every_gain_computed(monkeypatch, select):
+    calls = _counted_gains(monkeypatch)
+    telemetry = SimTelemetry()
+    with activated(telemetry):
+        for seed in range(3):
+            index, pool, background, storage = _scenario(seed)
+            assert select(index, pool, storage, background).photos
+    assert calls
+    assert _telemetry_gain_evaluations(telemetry) == len(calls)
+
+
+def test_gain_evaluations_count_every_gain_of_a_simulation(monkeypatch):
+    """Contacts and uplinks of a whole run compute no gain telemetry misses."""
+    scenario = ScenarioSpec(scale=0.05, seed=3).build()
+    calls = _counted_gains(monkeypatch)
+    telemetry = SimTelemetry()
+    with activated(telemetry):
+        run_scenario(scenario, "our-scheme")
+    assert calls
+    assert _telemetry_gain_evaluations(telemetry) == len(calls)
 
 
 def test_zero_capacity_and_zero_probability_edges():

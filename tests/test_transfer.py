@@ -133,6 +133,22 @@ class TestExecuteTransferPlan:
         final_ids = {p.photo_id for p in outcome.final_collections[1]}
         assert final_ids == {wanted.photo_id}
 
+    def test_eviction_drops_highest_id_first_and_keeps_order(self):
+        older, newer, newest = (make_photo(0, 0, 0) for _ in range(3))
+        wanted, cut_off = make_photo(0, 0, 0), make_photo(0, 0, 0)
+        result = make_result(1, [wanted, cut_off], 2, [])
+        holdings = {1: [newer, older, newest], 2: [wanted, cut_off]}
+        plan = build_transfer_plan(result, holdings)
+        # Room for three photos; the budget cuts the contact after the
+        # first transfer, so the collection is not trimmed to the target.
+        outcome = execute_transfer_plan(
+            plan, result, holdings, {1: 12 * MB, 2: 12 * MB}, byte_budget=4 * MB
+        )
+        assert outcome.truncated
+        assert [p.photo_id for p in outcome.final_collections[1]] == [
+            newer.photo_id, older.photo_id, wanted.photo_id,
+        ]
+
     def test_never_evicts_target_photos(self):
         keep = make_photo(0, 0, 0, size_bytes=4 * MB)
         incoming = make_photo(0, 0, 0, size_bytes=4 * MB)
